@@ -524,8 +524,7 @@ let run_crash_restart ~server_exe ~socket ~journal ~requests ~sessions ~crashes
       ]
     in
     Obs.Bench_report.write_file path
-      (Obs.Bench_report.make ~date ~fast:false ~kernels
-         ~metrics:(Obs.Report.to_json ()));
+      (Obs.Bench_report.make ~date ~fast:false ~kernels);
     Printf.printf "loadtest report written to %s\n" path);
   rm_rf wal_dir;
   (try Sys.remove journal with Sys_error _ -> ());
@@ -820,8 +819,7 @@ let run server socket_opt requests qps conns jobs max_queue deadline
       ]
     in
     Obs.Bench_report.write_file path
-      (Obs.Bench_report.make ~date ~fast:false ~kernels
-         ~metrics:(Obs.Report.to_json ()));
+      (Obs.Bench_report.make ~date ~fast:false ~kernels);
     Printf.printf "loadtest report written to %s\n" path);
   (try Sys.remove journal with Sys_error _ -> ());
   if !failures = [] then 0 else 1

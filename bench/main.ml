@@ -15,16 +15,15 @@
    Environment: NS_BENCH_FAST=1 shrinks the dataset and epochs ~4x;
    NS_TRACE=path emits JSONL spans.
 
-   --json FILE additionally writes an ns.bench/1 report: the kernel
-   OLS estimates plus a full metrics snapshot (see README
-   "Observability"). bin/benchdiff.exe gates CI on it. *)
+   --json FILE additionally writes an ns.bench/1 report of the kernel
+   OLS estimates (see README "Observability"). bin/benchdiff.exe gates
+   CI on it. *)
 
 let fast = Sys.getenv_opt "NS_BENCH_FAST" = Some "1"
 
 let sections =
   [
     "fig3"; "table1"; "fig4"; "table2"; "table3"; "fig7"; "ablation"; "kernels";
-    "portfolio";
   ]
 
 let usage () =
@@ -283,15 +282,10 @@ let kernel_tests () =
     let rng = Util.Rng.create 2 in
     Satgraph.Bigraph.of_formula (Gen.Ksat.near_threshold rng ~num_vars:300)
   in
-  let model = Core.Model.create Core.Model.paper_config in
-  let inference =
-    Test.make ~name:"model: NeuroSelect inference, 300-var CNF"
-      (Staged.stage (fun () -> ignore (Core.Model.predict model attn_graph)))
-  in
   (* GEMM kernels: the blocked/register-tiled kernel vs the naive
-     reference it is held bit-identical to, and the int8 path. One
-     shared 256x256 operand pair, preallocated output for the blocked
-     kernel so the measurement is the kernel, not the allocator. *)
+     reference it is held bit-identical to. One shared 256x256 operand
+     pair, preallocated output for the blocked kernel so the
+     measurement is the kernel, not the allocator. *)
   let gemm_a, gemm_b =
     let rng = Util.Rng.create 11 in
     ( Tensor.Mat.random_uniform rng 256 256 1.0,
@@ -308,34 +302,12 @@ let kernel_tests () =
       (Staged.stage (fun () ->
            Tensor.Mat.matmul_into ~out:gemm_out gemm_a gemm_b))
   in
-  let gemm_bq = Tensor.Mat.Q8.quantize gemm_b in
-  let gemm_q8 =
-    Test.make ~name:"tensor: gemm_q8 256x256"
-      (Staged.stage (fun () ->
-           Tensor.Mat.Q8.matmul_into ~out:gemm_out gemm_a gemm_bq))
-  in
-  (* Selector inference: the production fast engine vs the training
-     tape it replaced (the before/after of bench/reports/inference.md),
-     and a packed batch of 32 campaign-size instances. *)
+  (* Selector inference: the production engine on one 300-var instance
+     (the forward that precedes every adaptive solve). *)
+  let model = Core.Model.create Core.Model.paper_config in
   let selector_infer =
     Test.make ~name:"model: selector_infer fast engine, 300-var CNF"
       (Staged.stage (fun () -> ignore (Core.Model.predict model attn_graph)))
-  in
-  let selector_infer_tape =
-    Test.make ~name:"model: selector_infer_tape training tape, 300-var CNF"
-      (Staged.stage (fun () ->
-           ignore (Core.Model.predict_tape model attn_graph)))
-  in
-  let batch_graphs =
-    List.init 32 (fun i ->
-        let rng = Util.Rng.create (100 + i) in
-        Satgraph.Bigraph.of_formula
-          (Gen.Ksat.generate rng ~num_vars:120 ~num_clauses:500 ~k:3))
-  in
-  let selector_infer_batched =
-    Test.make ~name:"model: selector_infer_batched 32x 120-var CNF"
-      (Staged.stage (fun () ->
-           ignore (Core.Model.forward_batch model batch_graphs)))
   in
   [
     bcp;
@@ -344,13 +316,9 @@ let kernel_tests () =
     reduce_arena;
     inprocess;
     inprocess_pass;
-    inference;
     gemm_naive;
     gemm_blocked;
-    gemm_q8;
     selector_infer;
-    selector_infer_tape;
-    selector_infer_batched;
   ]
 
 (* Estimates from the last kernels run, for the --json report. *)
@@ -382,56 +350,6 @@ let run_kernels () =
   in
   List.iter handle (kernel_tests ())
 
-(* Portfolio wall-clock: K=4 diversified workers with clause sharing
-   vs each single configuration run to completion sequentially. The
-   instance and labels are fixed across fast/full mode so the entries
-   pair with bench/baseline.json in CI; fast mode only drops the
-   repetitions. *)
-let run_portfolio () =
-  section_header "Portfolio — K=4 shared vs best single config";
-  let holes = 7 in
-  let f = Gen.Pigeonhole.unsat holes in
-  let label = Printf.sprintf "PHP(%d,%d)" (holes + 1) holes in
-  let reps = if fast then 1 else 3 in
-  let time_avg g =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      g ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let specs = Portfolio.diversify ~k:4 ~seed:5 in
-  let best_name = ref "" and best = ref infinity in
-  Array.iter
-    (fun (s : Portfolio.spec) ->
-      let dt =
-        time_avg (fun () ->
-            match Cdcl.Solver.solve (Cdcl.Solver.create ~config:s.config f) with
-            | Cdcl.Solver.Unsat -> ()
-            | _ -> failwith "portfolio bench: single config lost UNSAT")
-      in
-      Format.printf "  single %-32s %8.3f s@." s.Portfolio.name dt;
-      if dt < !best then begin
-        best := dt;
-        best_name := s.Portfolio.name
-      end)
-    specs;
-  let shared =
-    time_avg (fun () ->
-        match (Portfolio.solve ~k:4 ~seed:5 f).Portfolio.verdict with
-        | Portfolio.Unsat _ -> ()
-        | _ -> failwith "portfolio bench: portfolio lost UNSAT")
-  in
-  Format.printf
-    "  best single (%s) %.3f s; portfolio K=4 %.3f s; speedup %.2fx@."
-    !best_name !best shared (!best /. shared);
-  kernel_estimates :=
-    { Obs.Bench_report.name = "portfolio: K=4 shared solve " ^ label;
-      ns_per_run = shared *. 1e9 }
-    :: { Obs.Bench_report.name = "portfolio: best single config " ^ label;
-         ns_per_run = !best *. 1e9 }
-    :: !kernel_estimates
-
 let write_json path =
   let date =
     let tm = Unix.gmtime (Unix.time ()) in
@@ -445,7 +363,6 @@ let write_json path =
            (fun a b ->
              String.compare a.Obs.Bench_report.name b.Obs.Bench_report.name)
            !kernel_estimates)
-      ~metrics:(Obs.Report.to_json ())
   in
   Obs.Bench_report.write_file path report;
   Format.printf "bench report written to %s@." path
@@ -462,6 +379,5 @@ let () =
   if wanted "fig7" then run_fig7 ();
   if wanted "ablation" then run_ablation ();
   if wanted "kernels" then run_kernels ();
-  if wanted "portfolio" then run_portfolio ();
   (match json_out with Some path -> write_json path | None -> ());
   Format.printf "@.done.@."

@@ -8,7 +8,7 @@
    retried once instead of aborting the campaign. *)
 
 let run checkpoint seed per_year budget journal deadline jobs mem_limit_mb
-    isolate metrics batch_inference q8_report =
+    isolate metrics =
   Obs.Trace.install_from_env ();
   (match metrics with
   | Some path -> at_exit (fun () -> Obs.Report.write path)
@@ -38,24 +38,11 @@ let run checkpoint seed per_year budget journal deadline jobs mem_limit_mb
   let instances =
     List.map (fun l -> l.Experiments.Data.instance) test
   in
-  if q8_report then begin
-    let formulas =
-      List.map (fun (i : Gen.Dataset.instance) -> i.formula) instances
-    in
-    let agreement = Core.Selector.q8_agreement model formulas in
-    Format.printf "int8/float32 decision agreement on test year: %.1f%% (%d instances)@."
-      (100.0 *. agreement) (List.length formulas)
-  end;
   let result =
-    Experiments.Adaptive_eval.run ~batch_inference ~progress ?journal
+    Experiments.Adaptive_eval.run ~progress ?journal
       ?deadline_seconds:deadline ~jobs ~isolate ?mem_limit_mb model
       data.Experiments.Data.simtime instances
   in
-  (if batch_inference then
-     let cs = Core.Selector.cache_stats () in
-     Format.printf
-       "selector cache: %d hits, %d misses, %d evictions (%d/%d entries)@."
-       cs.Core.Selector.hits cs.misses cs.evictions cs.size cs.capacity);
   Format.printf "%a@.@.%a@.@.%a@." Experiments.Adaptive_eval.print_table3 result
     Experiments.Adaptive_eval.print_fig7a result Experiments.Adaptive_eval.print_fig7b
     result;
@@ -130,31 +117,12 @@ let metrics =
            the per-instance solver counters accrue in the worker processes, \
            so the parent snapshot only reflects in-process work.")
 
-let batch_inference =
-  Arg.(
-    value & flag
-    & info [ "batch-inference" ]
-        ~doc:
-          "Precompute every policy selection up front in packed batches \
-           (one blocked GEMM per batch) with the fingerprint-keyed \
-           decision cache enabled, instead of one model forward per \
-           instance inside the measurement loop.")
-
-let q8_report =
-  Arg.(
-    value & flag
-    & info [ "q8-report" ]
-        ~doc:
-          "Report the fraction of test instances on which the int8 \
-           quantized selector agrees with the float32 engine's policy \
-           decision.")
-
 let cmd =
   let doc = "evaluate a trained NeuroSelect model against Kissat-default" in
   Cmd.v
     (Cmd.info "ns-evaluate" ~doc)
     Term.(
       const run $ checkpoint $ seed $ per_year $ budget $ journal $ deadline
-      $ jobs $ mem_limit_mb $ isolate $ metrics $ batch_inference $ q8_report)
+      $ jobs $ mem_limit_mb $ isolate $ metrics)
 
 let () = exit (Cmd.eval cmd)

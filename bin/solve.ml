@@ -114,73 +114,8 @@ let solve_one file policy_str adaptive checkpoint proof simplify inprocess
       print_endline "s UNKNOWN";
       0)
 
-(* Portfolio mode: K diversified supervised workers on one instance,
-   first decisive verdict wins, learned clauses exchanged at lockstep
-   sharing epochs (see lib/portfolio). *)
-let solve_portfolio file ~k ~seed ~share ~proof ~verify_proof ~journal_path
-    ~mem_limit_mb ~max_conflicts ~metrics ~verbose =
-  let formula = Cnf.Dimacs.parse_file file in
-  if verbose then
-    Printf.printf "c parsed %s: %d vars, %d clauses\n" file
-      (Cnf.Formula.num_vars formula)
-      (Cnf.Formula.num_clauses formula);
-  let want_proof = proof <> None || verify_proof in
-  let outcome =
-    Portfolio.solve ~k ~seed ~share ~proof:want_proof ?mem_limit_mb
-      ?max_conflicts ?journal_path formula
-  in
-  Printf.printf "c portfolio: winner %s (worker %d), %d epochs, %d exported, %d imported, %d rejected\n"
-    outcome.Portfolio.winner_name outcome.Portfolio.winner
-    outcome.Portfolio.epochs outcome.Portfolio.exported
-    outcome.Portfolio.imported outcome.Portfolio.rejected;
-  if outcome.Portfolio.torn_frames > 0 || outcome.Portfolio.workers_killed > 0
-  then
-    Printf.printf "c portfolio: %d torn frames dropped, %d workers lost\n"
-      outcome.Portfolio.torn_frames outcome.Portfolio.workers_killed;
-  if verbose then
-    Printf.printf "c portfolio: cancel latency %.3fs\n"
-      outcome.Portfolio.cancel_seconds;
-  ignore metrics;
-  match outcome.Portfolio.verdict with
-  | Portfolio.Sat model ->
-    assert (Cdcl.Solver.check_model formula model);
-    print_endline "s SATISFIABLE";
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "v";
-    for v = 1 to Cnf.Formula.num_vars formula do
-      Buffer.add_string buf (Printf.sprintf " %d" (if model.(v) then v else -v))
-    done;
-    Buffer.add_string buf " 0";
-    print_endline (Buffer.contents buf);
-    10
-  | Portfolio.Unsat proof_text ->
-    (match (proof, proof_text) with
-    | Some path, Some text ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "c DRUP proof written to %s\n" path
-    | _ -> ());
-    (match (verify_proof, proof_text) with
-    | true, Some text -> (
-      match Cdcl.Drup_check.check formula text with
-      | Cdcl.Drup_check.Valid -> print_endline "c winning DRUP proof verified"
-      | Cdcl.Drup_check.Invalid { line; reason } ->
-        Printf.eprintf "c INVALID winning proof at line %d: %s\n" line reason;
-        exit 1)
-    | true, None ->
-      prerr_endline "c no proof captured to verify";
-      exit 1
-    | false, _ -> ());
-    print_endline "s UNSATISFIABLE";
-    20
-  | Portfolio.Unknown ->
-    print_endline "s UNKNOWN";
-    0
-
 let run files policy_str adaptive checkpoint proof simplify inprocess
-    max_conflicts max_propagations jobs mem_limit_mb isolate metrics verbose
-    portfolio portfolio_seed no_share portfolio_journal verify_proof =
+    max_conflicts max_propagations jobs mem_limit_mb isolate metrics verbose =
   Obs.Trace.install_from_env ();
   (* The solve paths below leave through [exit]; at_exit keeps the
      metrics dump on every one of them. *)
@@ -195,25 +130,6 @@ let run files policy_str adaptive checkpoint proof simplify inprocess
     prerr_endline "--proof is only meaningful with a single FILE";
     exit 2
   end;
-  (match portfolio with
-  | Some k -> (
-    if adaptive || simplify || inprocess <> None || jobs > 1 || isolate then begin
-      prerr_endline
-        "--portfolio picks its own diversified configurations; it is \
-         incompatible with --adaptive, --simplify, --inprocess, --jobs and \
-         --isolate";
-      exit 2
-    end;
-    match files with
-    | [ file ] ->
-      exit
-        (solve_portfolio file ~k ~seed:portfolio_seed ~share:(not no_share)
-           ~proof ~verify_proof ~journal_path:portfolio_journal ~mem_limit_mb
-           ~max_conflicts ~metrics ~verbose)
-    | _ ->
-      prerr_endline "--portfolio takes exactly one FILE";
-      exit 2)
-  | None -> ());
   let solve file () =
     solve_one file policy_str adaptive checkpoint proof simplify inprocess
       max_conflicts max_propagations verbose
@@ -318,34 +234,6 @@ let metrics =
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ])
 
-let portfolio =
-  Arg.(value & opt ~vopt:(Some 4) (some int) None & info [ "portfolio" ]
-         ~docv:"K"
-         ~doc:"Run K diversified solver configurations in parallel worker \
-               processes on one FILE, exchanging learned clauses at lockstep \
-               sharing epochs; the first decisive verdict wins and the \
-               losers are cancelled (default K=4).")
-
-let portfolio_seed =
-  Arg.(value & opt int 0 & info [ "portfolio-seed" ] ~docv:"SEED"
-         ~doc:"Diversification seed; a fixed seed makes the portfolio run \
-               (and its journal) reproducible.")
-
-let no_share =
-  Arg.(value & flag & info [ "no-share" ]
-         ~doc:"Disable learned-clause exchange between portfolio workers.")
-
-let portfolio_journal =
-  Arg.(value & opt (some string) None & info [ "portfolio-journal" ]
-         ~docv:"FILE"
-         ~doc:"Write the deterministic portfolio journal (configs, epochs, \
-               winner) to FILE; byte-identical across same-seed runs.")
-
-let verify_proof =
-  Arg.(value & flag & info [ "verify-proof" ]
-         ~doc:"DRUP-check the winning portfolio UNSAT proof in-process \
-               before reporting; exits 1 if the check fails.")
-
 let cmd =
   let doc = "solve a DIMACS CNF with the camlsat CDCL solver" in
   Cmd.v
@@ -353,7 +241,6 @@ let cmd =
     Term.(
       const run $ files $ policy $ adaptive $ checkpoint $ proof $ simplify_flag
       $ inprocess $ max_conflicts $ max_propagations $ jobs $ mem_limit_mb
-      $ isolate $ metrics $ verbose $ portfolio $ portfolio_seed $ no_share
-      $ portfolio_journal $ verify_proof)
+      $ isolate $ metrics $ verbose)
 
 let () = exit (Cmd.eval cmd)

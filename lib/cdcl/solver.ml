@@ -116,29 +116,11 @@ type t = {
   mutable trace : (trace_event -> unit) option;
   mutable assumptions : Lit.t array;
   mutable core : Lit.t list option;
-  mutable share : share_state option;
 }
 
 and trace_event =
   | Learned of Cnf.Lit.t array
   | Deleted of Cnf.Lit.t array
-
-(* Portfolio clause sharing (DESIGN.md §12). The hook is the transport:
-   it receives this solver's epoch exports and returns the peers'
-   clauses for the same epoch, already in sorted sender order. *)
-and share_state = {
-  sh_hook : epoch:int -> Share.clause list -> Share.clause list;
-  sh_interval : int; (* restarts between exchanges *)
-  sh_glue : int; (* export when glue <= this ... *)
-  sh_max_size : int; (* ... and the clause is this short *)
-  sh_cap : int; (* export rate limit per epoch *)
-  mutable sh_epoch : int;
-  mutable sh_units_sent : int; (* root-trail export watermark *)
-  mutable sh_last_cid : int; (* learnt-clause export watermark *)
-  mutable sh_restarts : int; (* restarts since the last exchange *)
-  sh_seen : (string, unit) Hashtbl.t; (* canonical keys ever seen *)
-  sh_foreign : (int, unit) Hashtbl.t; (* cids of imported clauses *)
-}
 
 (* Trace payload arrays are only materialised when a trace callback is
    installed; the hot path pays one branch. *)
@@ -1369,7 +1351,6 @@ let create ?(config = Config.default) formula =
       trace = None;
       assumptions = [||];
       core = None;
-      share = None;
     }
   in
   (try Cnf.Formula.iter_clauses (fun c -> add_original t c) formula
@@ -1538,30 +1519,10 @@ let add_clause t lits =
 
 (* --- learned clause installation -------------------------------------- *)
 
-(* Canonical dedup key for clause sharing: sorted literal indices. One
-   table per solver covers everything learned, exported, or imported
-   while sharing is active, so a clause never crosses the wire twice in
-   either direction and a foreign duplicate of a live clause is
-   dropped before it can pollute the arena. *)
-let share_key lits =
-  let n = Array.length lits in
-  let idx = Array.init n (fun k -> Lit.to_index lits.(k)) in
-  Array.sort compare idx;
-  let b = Buffer.create (4 * n) in
-  Array.iter
-    (fun x ->
-      Buffer.add_string b (string_of_int x);
-      Buffer.add_char b ',')
-    idx;
-  Buffer.contents b
-
 let install_learnt t glue =
   t.stats.learned_total <- t.stats.learned_total + 1;
   Obs.Metrics.incr m_clauses_learned;
   trace_learned t;
-  (match t.share with
-  | Some sh -> Hashtbl.replace sh.sh_seen (share_key (Vec.to_array t.learnt)) ()
-  | None -> ());
   let learnt = t.learnt in
   if Vec.length learnt = 1 then begin
     backtrack t 0;
@@ -1582,193 +1543,6 @@ let install_learnt t glue =
     attach t c;
     ignore (enqueue t (Vec.get learnt 0) c)
   end
-
-(* --- portfolio clause sharing ------------------------------------------ *)
-
-let f_max_of_counts counts n =
-  let m = ref 0 in
-  for v = 1 to n do
-    if counts.(v) > !m then m := counts.(v)
-  done;
-  !m
-
-(* Gather this epoch's exports at decision level 0: fresh root units
-   (everyone wants those), then fresh learnts passing the glue /
-   propagation-frequency filter, watermarked by cid so nothing is sent
-   twice and capped per epoch so one loud worker cannot flood the
-   exchange. Imported clauses ([sh_foreign]) never echo back out. *)
-let collect_exports t sh =
-  let acc = ref [] and count = ref 0 in
-  let tlen = Vec.length t.trail in
-  while sh.sh_units_sent < tlen && !count < sh.sh_cap do
-    let l = Vec.get t.trail sh.sh_units_sent in
-    sh.sh_units_sent <- sh.sh_units_sent + 1;
-    let key = share_key [| l |] in
-    if not (Hashtbl.mem sh.sh_seen key) then begin
-      Hashtbl.replace sh.sh_seen key ();
-      acc := { Share.lits = [| l |]; glue = 0; frequency = 0 } :: !acc;
-      incr count
-    end
-  done;
-  let last = sh.sh_last_cid in
-  sh.sh_last_cid <- t.next_cid - 1;
-  let a = t.arena in
-  let alpha =
-    Option.value (Policy.alpha_of t.cfg.policy) ~default:Policy.default_alpha
-  in
-  let f_max = f_max_of_counts t.prop_counts t.n in
-  let n_learnts = Vec.length t.learnts in
-  let i = ref 0 in
-  while !i < n_learnts && !count < sh.sh_cap do
-    let c = Vec.unsafe_get t.learnts !i in
-    incr i;
-    if
-      (not (Arena.deleted a c))
-      && Arena.cid a c > last
-      && not (Hashtbl.mem sh.sh_foreign (Arena.cid a c))
-    then begin
-      let size = Arena.size a c and glue = Arena.glue a c in
-      if size <= sh.sh_max_size then begin
-        let lits = Arena.lits_array a c in
-        let frequency =
-          Policy.clause_frequency ~alpha ~f_max ~counts:t.prop_counts ~lits
-        in
-        if glue <= sh.sh_glue || 2 * frequency >= size then begin
-          acc := { Share.lits; glue; frequency } :: !acc;
-          incr count
-        end
-      end
-    end
-  done;
-  t.stats.shared_exported <- t.stats.shared_exported + !count;
-  List.rev !acc
-
-(* Import one foreign clause at decision level 0. The clause is implied
-   by the (shared) formula but generally not RUP against this solver's
-   clause database, so attaching it blindly would break the DRUP
-   proof. Instead it is validated the way vivification probes are:
-   assume the negation literal by literal under fresh decision levels
-   and propagate. A conflict (or an implied literal) proves the probed
-   prefix is RUP by definition, so that prefix is attached and emitted
-   as an ordinary DRUP addition; anything else is rejected. The
-   attached clause is a regular arena learnt, so reduce / GC
-   relocation handle it with no special casing. *)
-let import_shared t sh (sc : Share.clause) =
-  if
-    not
-      (Array.for_all
-         (fun l ->
-           let v = Lit.var l in
-           v >= 1 && v <= t.n)
-         sc.Share.lits)
-  then `Rejected
-  else begin
-    let n = simplify_into t sc.Share.lits in
-    if n <= 0 then `Rejected (* empty or tautological *)
-    else begin
-      let key =
-        let b = Buffer.create (4 * n) in
-        for k = 0 to n - 1 do
-          Buffer.add_string b (string_of_int t.simp.(k));
-          Buffer.add_char b ','
-        done;
-        Buffer.contents b
-      in
-      if Hashtbl.mem sh.sh_seen key then `Rejected
-      else begin
-        let lits = Array.init n (fun k -> Lit.of_index t.simp.(k)) in
-        let kept = Vec.create ~dummy:(Lit.pos 1) () in
-        let stopped = ref false in
-        let i = ref 0 in
-        while (not !stopped) && !i < n do
-          let l = lits.(!i) in
-          incr i;
-          let v = lit_value t l in
-          if v > 0 then begin
-            Vec.push kept l;
-            stopped := true
-          end
-          else if v < 0 then () (* falsified by the prefix: drop *)
-          else begin
-            probe_assume t (Lit.negate l);
-            let confl = propagate t in
-            Vec.push kept l;
-            if confl >= 0 then stopped := true
-          end
-        done;
-        backtrack_probe t 0;
-        if not !stopped then `Rejected (* not unit-derivable here *)
-        else begin
-          let n' = Vec.length kept in
-          if n' = 1 then begin
-            let u = Vec.get kept 0 in
-            if lit_value t u > 0 then `Rejected (* already a root unit *)
-            else begin
-              Hashtbl.replace sh.sh_seen key ();
-              if assert_root_unit t u then `Imported else `Unsat
-            end
-          end
-          else if Vec.exists (fun l -> lit_value t l > 0) kept then
-            `Rejected (* root-satisfied: redundant here *)
-          else begin
-            (* All kept literals are root-unassigned (a root-false
-               literal would have been dropped in the probe), so the
-               first two are valid watches as-is. *)
-            Hashtbl.replace sh.sh_seen key ();
-            let lits' = Vec.to_array kept in
-            let glue = max 1 (min sc.Share.glue (n' - 1)) in
-            let c =
-              Arena.alloc t.arena ~learned:true ~glue ~cid:t.next_cid ~size:n'
-            in
-            Hashtbl.replace sh.sh_foreign t.next_cid ();
-            t.next_cid <- t.next_cid + 1;
-            if t.cfg.inprocess then
-              Arena.set_tier t.arena c
-                (Policy.initial_tier ~tier1_glue:t.cfg.tier1_glue
-                   ~tier2_glue:t.cfg.tier2_glue ~glue);
-            for k = 0 to n' - 1 do
-              Arena.set_lit t.arena c k lits'.(k)
-            done;
-            trace_learned_lits t lits';
-            Vec.push t.learnts c;
-            attach t c;
-            `Imported
-          end
-        end
-      end
-    end
-  end
-
-(* One sharing exchange at a restart boundary. Returns false when an
-   import closes the formula (the empty clause is already emitted). *)
-let share_exchange t sh =
-  let exports = collect_exports t sh in
-  let epoch = sh.sh_epoch in
-  sh.sh_epoch <- epoch + 1;
-  let imports = sh.sh_hook ~epoch exports in
-  let ok = ref true in
-  List.iter
-    (fun sc ->
-      if !ok then
-        match import_shared t sh sc with
-        | `Imported -> t.stats.shared_imported <- t.stats.shared_imported + 1
-        | `Rejected -> t.stats.shared_rejected <- t.stats.shared_rejected + 1
-        | `Unsat ->
-          t.stats.shared_imported <- t.stats.shared_imported + 1;
-          ok := false)
-    imports;
-  !ok
-
-let maybe_share t =
-  match t.share with
-  | None -> true
-  | Some sh ->
-    sh.sh_restarts <- sh.sh_restarts + 1;
-    if sh.sh_restarts >= max 1 sh.sh_interval then begin
-      sh.sh_restarts <- 0;
-      share_exchange t sh
-    end
-    else true
 
 (* --- decisions --------------------------------------------------------- *)
 
@@ -1898,8 +1672,7 @@ let search_body t =
       result := Some Unknown
     else if should_restart t && decision_level t > assumption_depth then begin
       do_restart t;
-      if not (maybe_share t) then result := Some Unsat
-      else if t.cfg.inprocess then begin
+      if t.cfg.inprocess then begin
         t.restarts_since_inprocess <- t.restarts_since_inprocess + 1;
         if t.restarts_since_inprocess >= max 1 t.cfg.inprocess_interval
         then begin
@@ -2004,38 +1777,6 @@ let tier_counts t =
 
 let set_trace t f = t.trace <- Some f
 let clear_trace t = t.trace <- None
-
-let set_share ?(interval = 1) ?(glue_limit = 4) ?(max_size = 32)
-    ?(per_epoch = 64) t hook =
-  guard t "set_share";
-  let seen = Hashtbl.create 1024 in
-  let register c =
-    if not (Arena.deleted t.arena c) then
-      Hashtbl.replace seen (share_key (Arena.lits_array t.arena c)) ()
-  in
-  Vec.iter register t.originals;
-  Vec.iter register t.learnts;
-  t.share <-
-    Some
-      {
-        sh_hook = hook;
-        sh_interval = max 1 interval;
-        sh_glue = glue_limit;
-        sh_max_size = max_size;
-        sh_cap = per_epoch;
-        sh_epoch = 0;
-        sh_units_sent = Vec.length t.trail;
-        sh_last_cid = t.next_cid - 1;
-        sh_restarts = 0;
-        sh_seen = seen;
-        sh_foreign = Hashtbl.create 64;
-      }
-
-let clear_share t =
-  guard t "clear_share";
-  t.share <- None
-
-let share_epochs t = match t.share with None -> 0 | Some sh -> sh.sh_epoch
 
 let check_model formula m = Cnf.Formula.eval formula m
 

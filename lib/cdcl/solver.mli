@@ -154,39 +154,6 @@ val set_trace : t -> (trace_event -> unit) -> unit
 
 val clear_trace : t -> unit
 
-(** {1 Portfolio clause sharing}
-
-    Lockstep learned-clause exchange for portfolio solving (DESIGN.md
-    §12). At every [interval]-th restart boundary the solver gathers
-    its fresh exports — new root units plus learned clauses passing
-    the glue / propagation-frequency filter, at most [per_epoch] per
-    exchange — and hands them to the hook together with the current
-    epoch number. The hook returns the peers' clauses for the same
-    epoch (in sorted sender order); each one is validated by a
-    vivification-style RUP probe at decision level 0 and either
-    attached (and DRUP-logged, keeping the proof checkable) or
-    rejected. Counters land in {!Solver_stats.t} ([shared_exported],
-    [shared_imported], [shared_rejected]). *)
-
-val set_share :
-  ?interval:int ->
-  ?glue_limit:int ->
-  ?max_size:int ->
-  ?per_epoch:int ->
-  t ->
-  (epoch:int -> Share.clause list -> Share.clause list) ->
-  unit
-(** Install the exchange hook (replacing any previous one). Defaults:
-    exchange every restart, export clauses with glue ≤ 4 and at most
-    32 literals (or whose frequency covers half their literals), cap
-    64 clauses per epoch.
-
-    @raise Runtime.Error.Runtime_error when called while solving. *)
-
-val clear_share : t -> unit
-val share_epochs : t -> int
-(** Number of completed sharing exchanges. *)
-
 val solve_formula :
   ?config:Config.t -> Cnf.Formula.t -> result * Solver_stats.t
 (** One-shot convenience: create, solve, return result and a stats

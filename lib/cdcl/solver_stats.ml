@@ -14,10 +14,6 @@ type t = {
   mutable vivify_deleted : int;  (* clauses deleted by vivification *)
   mutable subsumed : int;  (* clauses removed by backward subsumption *)
   mutable strengthened : int;  (* literals removed by self-subsumption *)
-  (* Portfolio clause sharing (all zero without sharing). *)
-  mutable shared_exported : int;
-  mutable shared_imported : int;
-  mutable shared_rejected : int;
 }
 
 let create () =
@@ -36,9 +32,6 @@ let create () =
     vivify_deleted = 0;
     subsumed = 0;
     strengthened = 0;
-    shared_exported = 0;
-    shared_imported = 0;
-    shared_rejected = 0;
   }
 
 let copy t = { t with decisions = t.decisions }
@@ -54,8 +47,4 @@ let pp ppf t =
     Format.fprintf ppf
       "@,@[<v>inprocess    %d@,vivified     %d@,viv-deleted  %d@,\
        subsumed     %d@,strengthened %d@]"
-      t.inprocess_passes t.vivified t.vivify_deleted t.subsumed t.strengthened;
-  if t.shared_exported > 0 || t.shared_imported > 0 || t.shared_rejected > 0 then
-    Format.fprintf ppf
-      "@,@[<v>sh-exported  %d@,sh-imported  %d@,sh-rejected  %d@]"
-      t.shared_exported t.shared_imported t.shared_rejected
+      t.inprocess_passes t.vivified t.vivify_deleted t.subsumed t.strengthened

@@ -20,13 +20,6 @@ type t = {
   mutable subsumed : int;  (** Clauses removed by backward subsumption. *)
   mutable strengthened : int;
       (** Literals removed by self-subsuming resolution. *)
-  mutable shared_exported : int;
-      (** Clauses exported to portfolio peers (0 without sharing). *)
-  mutable shared_imported : int;
-      (** Foreign clauses RUP-validated and attached. *)
-  mutable shared_rejected : int;
-      (** Foreign clauses dropped (duplicate, redundant, or not
-          unit-derivable here). *)
 }
 
 val create : unit -> t

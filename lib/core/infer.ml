@@ -13,15 +13,7 @@
    1e-12 Frobenius guard), so a float engine reproduces
    [Model.predict]'s tape result to within bit-level noise of the
    zero-skip edge cases in the attention transpose products — in
-   practice well under 1e-9.
-
-   Batching: N bipartite graphs are packed block-diagonally (one tall
-   feature matrix, edge indices shifted by per-graph node offsets).
-   Message passing is row-local, so the packed rounds are exactly the N
-   independent rounds; attention and the readout — whole-matrix
-   operations — are applied per row segment so no signal leaks across
-   instances. The head MLP then runs once on the packed B x 2h pooled
-   matrix instead of B times on 1 x 2h rows. *)
+   practice well under 1e-9. *)
 
 module Mat = Tensor.Mat
 module Linear = Nn.Layer.Linear
@@ -47,46 +39,15 @@ let release (p : pool) m =
   | slot -> slot := m :: !slot
   | exception Not_found -> Hashtbl.add p k (ref [ m ])
 
-(* ---------- quantized / float linear layers ---------- *)
-
-type lin =
-  | Float_lin of Linear.t
-  | Q8_lin of { qw : Mat.Q8.t; bias : Mat.t option }
-
-let lin_of ~quantized l =
-  if quantized then
-    Q8_lin { qw = Mat.Q8.quantize (Linear.weight_value l); bias = Linear.bias_value l }
-  else Float_lin l
-
-let apply_lin p lin x =
-  let n = Mat.rows x in
-  match lin with
-  | Float_lin l ->
-      let out = acquire p n (Linear.out_dim l) in
-      Linear.infer_into l ~out x;
-      out
-  | Q8_lin { qw; bias } ->
-      let out = acquire p n (Mat.Q8.cols qw) in
-      Mat.Q8.matmul_into ~out x qw;
-      (match bias with None -> () | Some b -> Mat.add_row_in_place out b);
-      out
-
-type mpnn_spec = {
-  msg_v2c : lin;
-  msg_c2v : lin;
-  self_var : lin;
-  self_clause : lin;
-  out_var : lin;
-  out_clause : lin;
-}
-
-type hgt_spec = { mpnns : mpnn_spec list; attn : (lin * lin * lin) option }
+let apply_lin p l x =
+  let out = acquire p (Mat.rows x) (Linear.out_dim l) in
+  Linear.infer_into l ~out x;
+  out
 
 type t = {
-  hgts : hgt_spec list;
-  head : lin list;
+  hgts : Hgt.t list;
+  head : Linear.t list;
   normalize_readout : bool;
-  is_quantized : bool;
   hidden : int;
   pool : pool;
   mean_scratch : float array;  (* hidden *)
@@ -94,41 +55,17 @@ type t = {
   kt1_scratch : float array;  (* hidden *)
 }
 
-let create ?(quantized = false) ~hgts ~head ~normalize_readout () =
-  let conv = lin_of ~quantized in
-  let spec_of_hgt h =
-    {
-      mpnns =
-        List.map
-          (fun m ->
-            {
-              msg_v2c = conv (Mpnn.msg_var_to_clause m);
-              msg_c2v = conv (Mpnn.msg_clause_to_var m);
-              self_var = conv (Mpnn.self_var m);
-              self_clause = conv (Mpnn.self_clause m);
-              out_var = conv (Mpnn.out_var m);
-              out_clause = conv (Mpnn.out_clause m);
-            })
-          (Hgt.mpnns h);
-      attn =
-        Option.map
-          (fun a ->
-            let q, k, v = Attention.projections a in
-            (conv q, conv k, conv v))
-          (Hgt.attention h);
-    }
-  in
-  let head_lins = Nn.Layer.Mlp.linears head in
+let create ~hgts ~head ~normalize_readout =
+  let head = Nn.Layer.Mlp.linears head in
   let hidden =
-    match head_lins with
+    match head with
     | l :: _ -> Linear.in_dim l / 2
     | [] -> invalid_arg "Infer.create: empty head"
   in
   {
-    hgts = List.map spec_of_hgt hgts;
-    head = List.map conv head_lins;
+    hgts;
+    head;
     normalize_readout;
-    is_quantized = quantized;
     hidden;
     pool = Hashtbl.create 32;
     mean_scratch = Array.make hidden 0.0;
@@ -136,96 +73,16 @@ let create ?(quantized = false) ~hgts ~head ~normalize_readout () =
     kt1_scratch = Array.make hidden 0.0;
   }
 
-let is_quantized t = t.is_quantized
-
-(* ---------- block-diagonal graph packing ---------- *)
-
-type packed = {
-  n_vars : int;
-  n_clauses : int;
-  edge_var : int array;
-  edge_clause : int array;
-  edge_weight : float array;
-  var_inv : float array;
-  clause_inv : float array;
-  var_off : int array;  (* batch+1 prefix offsets into var rows *)
-}
-
-let pack graphs =
-  List.iter
-    (fun (g : Bigraph.t) ->
-      if g.Bigraph.num_vars = 0 then
-        invalid_arg "Infer.pack: graph with no variable nodes")
-    graphs;
-  match graphs with
-  | [] -> invalid_arg "Infer.pack: empty batch"
-  | [ g ] ->
-      (* Single-instance fast path: no index shifting needed, so the
-         graph's own arrays are used in place. *)
-      {
-        n_vars = g.Bigraph.num_vars;
-        n_clauses = g.Bigraph.num_clauses;
-        edge_var = g.Bigraph.edge_var;
-        edge_clause = g.Bigraph.edge_clause;
-        edge_weight = g.Bigraph.edge_weight;
-        var_inv = Bigraph.var_inv_degree g;
-        clause_inv = Bigraph.clause_inv_degree g;
-        var_off = [| 0; g.Bigraph.num_vars |];
-      }
-  | gs ->
-      let arr = Array.of_list gs in
-      let b = Array.length arr in
-      let var_off = Array.make (b + 1) 0 in
-      let clause_off = Array.make (b + 1) 0 in
-      let n_edges = ref 0 in
-      for i = 0 to b - 1 do
-        var_off.(i + 1) <- var_off.(i) + arr.(i).Bigraph.num_vars;
-        clause_off.(i + 1) <- clause_off.(i) + arr.(i).Bigraph.num_clauses;
-        n_edges := !n_edges + Bigraph.num_edges arr.(i)
-      done;
-      let nv = var_off.(b) and nc = clause_off.(b) and ne = !n_edges in
-      let edge_var = Array.make ne 0 in
-      let edge_clause = Array.make ne 0 in
-      let edge_weight = Array.make ne 0.0 in
-      let var_inv = Array.make nv 0.0 in
-      let clause_inv = Array.make (max nc 1) 0.0 in
-      let e = ref 0 in
-      for i = 0 to b - 1 do
-        let g = arr.(i) in
-        let vo = var_off.(i) and co = clause_off.(i) in
-        let gne = Bigraph.num_edges g in
-        for k = 0 to gne - 1 do
-          edge_var.(!e + k) <- g.Bigraph.edge_var.(k) + vo;
-          edge_clause.(!e + k) <- g.Bigraph.edge_clause.(k) + co;
-          edge_weight.(!e + k) <- g.Bigraph.edge_weight.(k)
-        done;
-        e := !e + gne;
-        Array.blit (Bigraph.var_inv_degree g) 0 var_inv vo g.Bigraph.num_vars;
-        Array.blit (Bigraph.clause_inv_degree g) 0 clause_inv co
-          g.Bigraph.num_clauses
-      done;
-      {
-        n_vars = nv;
-        n_clauses = nc;
-        edge_var;
-        edge_clause;
-        edge_weight;
-        var_inv;
-        clause_inv;
-        var_off;
-      }
-
 (* ---------- forward ---------- *)
 
-(* Eq. 6 on the packed graph: the fused gather/edge-weight/scatter-sum
-   kernel followed by the 1/deg normalisation. Identical accumulation
-   order to the tape's three separate ops. *)
-let aggregate t packed ~sender ~send_idx ~recv_idx ~recv_rows ~recv_inv =
-  let p = t.pool in
-  let cols = Mat.cols sender in
-  let summed = acquire p recv_rows cols in
+(* Eq. 6: the fused gather/edge-weight/scatter-sum kernel followed by
+   the 1/deg normalisation. Identical accumulation order to the tape's
+   three separate ops. *)
+let aggregate t (g : Bigraph.t) ~sender ~send_idx ~recv_idx ~recv_rows
+    ~recv_inv =
+  let summed = acquire t.pool recv_rows (Mat.cols sender) in
   Mat.scatter_weighted_rows_into ~out:summed sender ~send:send_idx
-    ~recv:recv_idx ~weights:packed.edge_weight;
+    ~recv:recv_idx ~weights:g.Bigraph.edge_weight;
   Mat.scale_rows_in_place summed recv_inv;
   summed
 
@@ -239,36 +96,29 @@ let update t ~out_lin ~self_lin ~messages ~feats =
   Mat.relu_in_place out;
   out
 
-(* Per-segment Frobenius normalisation: same ascending-element sum of
-   squares and the same 1e-12 identity guard as [Ad.frobenius_normalize]
-   applied to the segment's standalone matrix. *)
-let frobenius_scale_seg (m : Mat.t) r0 r1 =
-  let d = m.Mat.data in
-  let lo = r0 * m.Mat.cols and hi = (r1 * m.Mat.cols) - 1 in
+(* Same ascending-element sum of squares, the same 1e-12 identity guard
+   and the same multiply-by-reciprocal as [Ad.frobenius_normalize]. *)
+let frobenius_normalise a len =
   let acc = ref 0.0 in
-  for k = lo to hi do
-    acc := !acc +. (d.(k) *. d.(k))
+  for k = 0 to len - 1 do
+    acc := !acc +. (a.(k) *. a.(k))
   done;
   let s = sqrt !acc in
   if s >= 1e-12 then begin
     let inv = 1.0 /. s in
-    for k = lo to hi do
-      d.(k) <- inv *. d.(k)
+    for k = 0 to len - 1 do
+      a.(k) <- inv *. a.(k)
     done
   end
 
-(* SGFormer linear attention (Eqs. 8-9), applied independently to each
-   instance's row segment of the packed variable features. The q/k/v
-   projections are row-local and run as one packed GEMM; everything
-   involving a reduction over rows (normalisation, K~^T V, K~^T 1, the
-   denominator) is segmented. *)
-let attention_packed t packed (fq, fk, fv) vf =
+(* SGFormer linear attention (Eqs. 8-9) over the variable features. *)
+let attention t (fq, fk, fv) vf =
   let p = t.pool in
-  let h = Mat.cols vf in
+  let n = Mat.rows vf and h = Mat.cols vf in
   let q = apply_lin p fq vf in
   let k = apply_lin p fk vf in
   let v = apply_lin p fv vf in
-  let out = acquire p (Mat.rows vf) h in
+  let out = acquire p n h in
   let ktv = acquire p h h in
   let qd = q.Mat.data
   and kd = k.Mat.data
@@ -276,57 +126,52 @@ let attention_packed t packed (fq, fk, fv) vf =
   and od = out.Mat.data
   and ktvd = ktv.Mat.data
   and kt1 = t.kt1_scratch in
-  let b = Array.length packed.var_off - 1 in
-  for s = 0 to b - 1 do
-    let r0 = packed.var_off.(s) and r1 = packed.var_off.(s + 1) in
-    let n = r1 - r0 in
-    let inv_n = 1.0 /. float_of_int (max n 1) in
-    frobenius_scale_seg q r0 r1;
-    frobenius_scale_seg k r0 r1;
-    (* ktv = K~^T V (h x h) and kt1 = K~^T 1 (h), rows ascending; the
-       tape's transpose product skips exact-zero coefficients, mirrored
-       here. *)
-    Array.fill ktvd 0 (h * h) 0.0;
-    Array.fill kt1 0 h 0.0;
-    for r = r0 to r1 - 1 do
-      let kbase = r * h and vbase = r * h in
-      for x = 0 to h - 1 do
-        let kv = kd.(kbase + x) in
-        if kv <> 0.0 then begin
-          let obase = x * h in
-          for j = 0 to h - 1 do
-            ktvd.(obase + j) <- ktvd.(obase + j) +. (kv *. vd.(vbase + j))
-          done;
-          kt1.(x) <- kt1.(x) +. (kv *. 1.0)
-        end
-      done
-    done;
-    (* Per row: qktv into out (ascending x, one term at a time — the
-       tape matmul's order), the scalar q.kt1, then
-       out = (v + qktv/n) / (1 + (q.kt1)/n). *)
-    for r = r0 to r1 - 1 do
-      let base = r * h in
-      for j = 0 to h - 1 do
-        od.(base + j) <- 0.0
-      done;
-      for x = 0 to h - 1 do
-        let qv = qd.(base + x) in
+  let inv_n = 1.0 /. float_of_int (max n 1) in
+  frobenius_normalise qd (n * h);
+  frobenius_normalise kd (n * h);
+  (* ktv = K~^T V (h x h) and kt1 = K~^T 1 (h), rows ascending; the
+     tape's transpose product skips exact-zero coefficients, mirrored
+     here. *)
+  Array.fill ktvd 0 (h * h) 0.0;
+  Array.fill kt1 0 h 0.0;
+  for r = 0 to n - 1 do
+    let base = r * h in
+    for x = 0 to h - 1 do
+      let kv = kd.(base + x) in
+      if kv <> 0.0 then begin
         let obase = x * h in
         for j = 0 to h - 1 do
-          od.(base + j) <- od.(base + j) +. (qv *. ktvd.(obase + j))
-        done
-      done;
-      let dot = acquire p 1 1 in
-      let dd = dot.Mat.data in
-      dd.(0) <- 0.0;
-      for x = 0 to h - 1 do
-        dd.(0) <- dd.(0) +. (qd.(base + x) *. kt1.(x))
-      done;
-      let denom = 1.0 +. (inv_n *. dd.(0)) in
-      release p dot;
+          ktvd.(obase + j) <- ktvd.(obase + j) +. (kv *. vd.(base + j))
+        done;
+        kt1.(x) <- kt1.(x) +. (kv *. 1.0)
+      end
+    done
+  done;
+  (* Per row: qktv into out (ascending x, one term at a time — the
+     tape matmul's order), the scalar q.kt1, then
+     out = (v + qktv/n) / (1 + (q.kt1)/n). *)
+  for r = 0 to n - 1 do
+    let base = r * h in
+    for j = 0 to h - 1 do
+      od.(base + j) <- 0.0
+    done;
+    for x = 0 to h - 1 do
+      let qv = qd.(base + x) in
+      let obase = x * h in
       for j = 0 to h - 1 do
-        od.(base + j) <- (vd.(base + j) +. (inv_n *. od.(base + j))) /. denom
+        od.(base + j) <- od.(base + j) +. (qv *. ktvd.(obase + j))
       done
+    done;
+    let dot = acquire p 1 1 in
+    let dd = dot.Mat.data in
+    dd.(0) <- 0.0;
+    for x = 0 to h - 1 do
+      dd.(0) <- dd.(0) +. (qd.(base + x) *. kt1.(x))
+    done;
+    let denom = 1.0 +. (inv_n *. dd.(0)) in
+    release p dot;
+    for j = 0 to h - 1 do
+      od.(base + j) <- (vd.(base + j) +. (inv_n *. od.(base + j))) /. denom
     done
   done;
   release p q;
@@ -335,64 +180,47 @@ let attention_packed t packed (fq, fk, fv) vf =
   release p ktv;
   out
 
-(* Same ascending sum of squares, the same 1e-12 identity guard and the
-   same multiply-by-reciprocal as [Ad.frobenius_normalize]. *)
-let normalise_scratch a h =
-  let acc = ref 0.0 in
-  for j = 0 to h - 1 do
-    acc := !acc +. (a.(j) *. a.(j))
-  done;
-  let s = sqrt !acc in
-  if s >= 1e-12 then begin
-    let inv = 1.0 /. s in
-    for j = 0 to h - 1 do
-      a.(j) <- inv *. a.(j)
-    done
-  end
-
-(* Eq. 10 readout per segment: mean and max pooling over the variable
-   rows, each optionally Frobenius-normalised (same guard as the tape),
-   concatenated into one row of the B x 2h pooled matrix. The mean
-   divides by [max n 1] like [Mat.col_means]; the max starts from row
-   [r0] and takes strictly greater values like [Ad.max_rows]. *)
-let pool_readout t packed vf pooled =
-  let h = Mat.cols vf in
+(* Eq. 10 readout: mean and max pooling over the variable rows, each
+   optionally Frobenius-normalised (same guard as the tape),
+   concatenated into the 1 x 2h pooled row. The mean divides by
+   [max n 1] like [Mat.col_means]; the max starts from row 0 and takes
+   strictly greater values like [Ad.max_rows]. *)
+let pool_readout t vf pooled =
+  let n = Mat.rows vf and h = Mat.cols vf in
   let d = vf.Mat.data and pd = pooled.Mat.data in
   let mean_s = t.mean_scratch and max_s = t.max_scratch in
-  let b = Array.length packed.var_off - 1 in
-  for s = 0 to b - 1 do
-    let r0 = packed.var_off.(s) and r1 = packed.var_off.(s + 1) in
-    let n = r1 - r0 in
-    let denom = float_of_int (max n 1) in
+  let denom = float_of_int (max n 1) in
+  for j = 0 to h - 1 do
+    mean_s.(j) <- 0.0;
+    max_s.(j) <- d.(j)
+  done;
+  for r = 0 to n - 1 do
+    let base = r * h in
     for j = 0 to h - 1 do
-      mean_s.(j) <- 0.0;
-      max_s.(j) <- d.((r0 * h) + j)
-    done;
-    for r = r0 to r1 - 1 do
-      let base = r * h in
-      for j = 0 to h - 1 do
-        let x = d.(base + j) in
-        mean_s.(j) <- mean_s.(j) +. x;
-        if x > max_s.(j) then max_s.(j) <- x
-      done
-    done;
-    for j = 0 to h - 1 do
-      mean_s.(j) <- mean_s.(j) /. denom
-    done;
-    if t.normalize_readout then begin
-      normalise_scratch mean_s h;
-      normalise_scratch max_s h
-    end;
-    let base = s * 2 * h in
-    for j = 0 to h - 1 do
-      pd.(base + j) <- mean_s.(j);
-      pd.(base + h + j) <- max_s.(j)
+      let x = d.(base + j) in
+      mean_s.(j) <- mean_s.(j) +. x;
+      if x > max_s.(j) then max_s.(j) <- x
     done
+  done;
+  for j = 0 to h - 1 do
+    mean_s.(j) <- mean_s.(j) /. denom
+  done;
+  if t.normalize_readout then begin
+    frobenius_normalise mean_s h;
+    frobenius_normalise max_s h
+  end;
+  for j = 0 to h - 1 do
+    pd.(j) <- mean_s.(j);
+    pd.(h + j) <- max_s.(j)
   done
 
-let forward t packed =
+let predict t (g : Bigraph.t) =
+  if g.Bigraph.num_vars = 0 then
+    invalid_arg "Infer.predict: graph with no variable nodes";
   let p = t.pool in
-  let nv = packed.n_vars and nc = packed.n_clauses in
+  let nv = g.Bigraph.num_vars and nc = g.Bigraph.num_clauses in
+  let var_inv = Bigraph.var_inv_degree g
+  and clause_inv = Bigraph.clause_inv_degree g in
   let vf0 = acquire p nv 1 in
   Mat.fill vf0 1.0;
   let cf0 = acquire p nc 1 in
@@ -402,44 +230,43 @@ let forward t packed =
     (fun hgt ->
       List.iter
         (fun mp ->
-          let vmsg = apply_lin p mp.msg_v2c !vf in
-          let cmsg = apply_lin p mp.msg_c2v !cf in
+          let vmsg = apply_lin p (Mpnn.msg_var_to_clause mp) !vf in
+          let cmsg = apply_lin p (Mpnn.msg_clause_to_var mp) !cf in
           let to_clauses =
-            aggregate t packed ~sender:vmsg ~send_idx:packed.edge_var
-              ~recv_idx:packed.edge_clause ~recv_rows:nc
-              ~recv_inv:packed.clause_inv
+            aggregate t g ~sender:vmsg ~send_idx:g.Bigraph.edge_var
+              ~recv_idx:g.Bigraph.edge_clause ~recv_rows:nc
+              ~recv_inv:clause_inv
           in
           release p vmsg;
           let to_vars =
-            aggregate t packed ~sender:cmsg ~send_idx:packed.edge_clause
-              ~recv_idx:packed.edge_var ~recv_rows:nv ~recv_inv:packed.var_inv
+            aggregate t g ~sender:cmsg ~send_idx:g.Bigraph.edge_clause
+              ~recv_idx:g.Bigraph.edge_var ~recv_rows:nv ~recv_inv:var_inv
           in
           release p cmsg;
           let new_v =
-            update t ~out_lin:mp.out_var ~self_lin:mp.self_var
+            update t ~out_lin:(Mpnn.out_var mp) ~self_lin:(Mpnn.self_var mp)
               ~messages:to_vars ~feats:!vf
           in
           release p to_vars;
           let new_c =
-            update t ~out_lin:mp.out_clause ~self_lin:mp.self_clause
-              ~messages:to_clauses ~feats:!cf
+            update t ~out_lin:(Mpnn.out_clause mp)
+              ~self_lin:(Mpnn.self_clause mp) ~messages:to_clauses ~feats:!cf
           in
           release p to_clauses;
           release p !vf;
           release p !cf;
           vf := new_v;
           cf := new_c)
-        hgt.mpnns;
-      match hgt.attn with
+        (Hgt.mpnns hgt);
+      match Hgt.attention hgt with
       | None -> ()
-      | Some proj ->
-          let att = attention_packed t packed proj !vf in
+      | Some a ->
+          let att = attention t (Attention.projections a) !vf in
           release p !vf;
           vf := att)
     t.hgts;
-  let b = Array.length packed.var_off - 1 in
-  let pooled = acquire p b (2 * t.hidden) in
-  pool_readout t packed !vf pooled;
+  let pooled = acquire p 1 (2 * t.hidden) in
+  pool_readout t !vf pooled;
   release p !vf;
   release p !cf;
   let x = ref pooled in
@@ -451,14 +278,6 @@ let forward t packed =
       release p !x;
       x := y)
     t.head;
-  let logits = !x in
-  let probs =
-    Array.init b (fun i -> 1.0 /. (1.0 +. exp (-.Mat.get logits i 0)))
-  in
-  release p logits;
-  probs
-
-let predict_batch t graphs =
-  match graphs with [] -> [||] | _ -> forward t (pack graphs)
-
-let predict t graph = (forward t (pack [ graph ])).(0)
+  let logit = Mat.get !x 0 0 in
+  release p !x;
+  1.0 /. (1.0 +. exp (-.logit))

@@ -3,44 +3,20 @@
     Mirrors {!Model.forward_logit}'s arithmetic on plain matrices drawn
     from a shape-keyed buffer pool: no autodiff nodes, no gradient
     buffers, no backward closures. Every kernel keeps the tape ops'
-    accumulation order, so a float engine reproduces the tape
-    prediction to well under 1e-9.
+    accumulation order, so the engine reproduces the tape prediction to
+    well under 1e-9.
 
-    Batched inference packs N bipartite graphs block-diagonally —
-    message passing is row-local so the packed rounds are exactly the N
-    independent rounds, while attention and the mean/max readout are
-    applied per row segment — and runs the MLP head once on the packed
-    [B x 2h] pooled matrix.
-
-    An engine holds (optionally int8-quantized) snapshots of the model
-    weights plus its buffer pool; build it through {!Model.engine} /
-    {!Model.quantized_engine}, which cache one per checkpoint
-    generation. Engines are not thread-safe (the pool and scratch
-    buffers are shared across calls). *)
+    An engine reads the model's live weight matrices, so it stays valid
+    across checkpoint reloads; {!Model.predict} owns one per model.
+    Engines are not thread-safe (the pool and scratch buffers are shared
+    across calls). *)
 
 type t
 
 val create :
-  ?quantized:bool ->
-  hgts:Hgt.t list ->
-  head:Nn.Layer.Mlp.t ->
-  normalize_readout:bool ->
-  unit ->
-  t
-(** [quantized:true] snapshots every linear layer's weights as
-    {!Tensor.Mat.Q8.t} (int8, per-matrix scale/zero-point); activations
-    stay float and are quantized on the fly per GEMM. Quantized layers
-    reference the weights by value at creation time, so a checkpoint
-    reload needs a fresh engine. *)
-
-val is_quantized : t -> bool
+  hgts:Hgt.t list -> head:Nn.Layer.Mlp.t -> normalize_readout:bool -> t
 
 val predict : t -> Satgraph.Bigraph.t -> float
-(** Probability in (0, 1); the fast equivalent of {!Model.predict}.
+(** Probability in (0, 1); the fast equivalent of the tape forward.
     @raise Invalid_argument on a graph with no variable nodes (the tape
     path rejects those too). *)
-
-val predict_batch : t -> Satgraph.Bigraph.t list -> float array
-(** One packed forward for the whole batch; [predict_batch t gs]
-    equals [List.map (predict t) gs] numerically. Returns [[||]] on an
-    empty list. *)

@@ -1,5 +1,4 @@
 module Ad = Nn.Ad
-module Mat = Tensor.Mat
 module Bigraph = Satgraph.Bigraph
 
 type config = {
@@ -41,9 +40,8 @@ type t = {
   uid : int;  (* process-unique, for cache keys *)
   mutable generation : int;
       (* bumped whenever a checkpoint restore may have replaced the
-         weights; engines and external caches key on it *)
-  mutable engine : (int * Infer.t) option;
-  mutable qengine : (int * Infer.t) option;
+         weights; external caches key on it *)
+  engine : Infer.t;
 }
 
 let uid_counter = ref 0
@@ -77,39 +75,12 @@ let create cfg =
     head;
     uid = !uid_counter;
     generation = 0;
-    engine = None;
-    qengine = None;
+    engine = Infer.create ~hgts ~head ~normalize_readout:cfg.normalize_readout;
   }
 
 let config t = t.cfg
 let uid t = t.uid
 let generation t = t.generation
-
-(* Engines snapshot nothing in float mode (they reference the live
-   weight matrices) but the quantized engine bakes the weights in at
-   build time, and both own warm buffer pools; one of each is cached
-   per checkpoint generation so a reload rebuilds them. *)
-let engine t =
-  match t.engine with
-  | Some (g, e) when g = t.generation -> e
-  | _ ->
-      let e =
-        Infer.create ~hgts:t.hgts ~head:t.head
-          ~normalize_readout:t.cfg.normalize_readout ()
-      in
-      t.engine <- Some (t.generation, e);
-      e
-
-let quantized_engine t =
-  match t.qengine with
-  | Some (g, e) when g = t.generation -> e
-  | _ ->
-      let e =
-        Infer.create ~quantized:true ~hgts:t.hgts ~head:t.head
-          ~normalize_readout:t.cfg.normalize_readout ()
-      in
-      t.qengine <- Some (t.generation, e);
-      e
 
 let params t = List.concat_map Hgt.params t.hgts @ Nn.Layer.Mlp.params t.head
 
@@ -137,22 +108,9 @@ let forward_logit t tape graph =
   let pooled = Ad.concat_cols tape (normalise mean_pool) (normalise max_pool) in
   Nn.Layer.Mlp.forward tape t.head pooled
 
-(* Reference prediction through the autodiff tape — the training-path
-   numerics. [predict] goes through the tape-free engine instead; the
-   two agree to well under 1e-9 (asserted in the test suite). *)
-let predict_tape t graph =
-  let tape = Ad.tape () in
-  let logit = forward_logit t tape graph in
-  let z = Mat.get (Ad.value logit) 0 0 in
-  1.0 /. (1.0 +. exp (-.z))
-
-let predict t graph = Infer.predict (engine t) graph
-
-let forward_batch t graphs = Infer.predict_batch (engine t) graphs
-
-let predict_q8 t graph = Infer.predict (quantized_engine t) graph
-
-let forward_batch_q8 t graphs = Infer.predict_batch (quantized_engine t) graphs
+(* The production forward runs on the tape-free engine; [forward_logit]
+   stays the training path. *)
+let predict t graph = Infer.predict t.engine graph
 
 let predict_formula t formula = predict t (Bigraph.of_formula formula)
 

@@ -35,35 +35,15 @@ val forward_logit : t -> Nn.Ad.tape -> Satgraph.Bigraph.t -> Nn.Ad.v
 
 val predict : t -> Satgraph.Bigraph.t -> float
 (** Probability in (0, 1) that the frequency policy helps. Runs the
-    tape-free {!Infer} engine (cached per checkpoint generation);
-    agrees with {!predict_tape} to well under 1e-9. *)
-
-val predict_tape : t -> Satgraph.Bigraph.t -> float
-(** Reference prediction through the autodiff tape — the training-path
-    numerics, kept as the oracle for the fast path. *)
-
-val forward_batch : t -> Satgraph.Bigraph.t list -> float array
-(** Batched prediction: one packed forward over all graphs (one big
-    GEMM per layer instead of N small ones). Numerically equal to
-    mapping {!predict}. *)
-
-val predict_q8 : t -> Satgraph.Bigraph.t -> float
-(** Prediction through the int8-quantized engine. *)
-
-val forward_batch_q8 : t -> Satgraph.Bigraph.t list -> float array
-
-val engine : t -> Infer.t
-(** The cached float inference engine for the current checkpoint
-    generation (built on first use). *)
-
-val quantized_engine : t -> Infer.t
+    tape-free {!Infer} engine, which agrees with a sigmoid over
+    {!forward_logit} to well under 1e-9. *)
 
 val uid : t -> int
 (** Process-unique model identity, for external cache keys. *)
 
 val generation : t -> int
 (** Bumped by {!load} / {!load_result}: any successful or attempted
-    checkpoint restore invalidates engines and external caches keyed on
+    checkpoint restore invalidates external caches keyed on
     [(uid, generation)]. *)
 
 val predict_formula : t -> Cnf.Formula.t -> float

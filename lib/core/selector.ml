@@ -6,8 +6,6 @@ let h_inference = Obs.Metrics.histogram "selector.inference_seconds"
 let m_cache_hits = Obs.Metrics.counter "selector.cache_hits"
 let m_cache_misses = Obs.Metrics.counter "selector.cache_misses"
 let m_cache_evictions = Obs.Metrics.counter "selector.cache_evictions"
-let m_q8_agreements = Obs.Metrics.counter "selector.q8_agreements"
-let m_q8_disagreements = Obs.Metrics.counter "selector.q8_disagreements"
 
 type degradation =
   | Model_failure of string
@@ -38,8 +36,7 @@ type selection = {
    stamped with the (model uid, checkpoint generation) it was filled
    from: a different model — or the same model after a checkpoint
    reload, which bumps the generation — empties it before use, so a
-   hot-swap can never serve stale decisions. Quantized and float
-   probabilities differ, so the engine kind is part of the key. *)
+   hot-swap can never serve stale decisions. *)
 module Cache = struct
   type node = {
     key : string;
@@ -175,10 +172,6 @@ let clear_cache () =
   Cache.clear_entries cache;
   cache.Cache.stamp <- None
 
-let cache_key ~quantized formula =
-  let fp = Cnf.Fingerprint.compute_hex formula in
-  if quantized then fp ^ ":q8" else fp
-
 (* --- fleet-wide circuit breaker around the model path --- *)
 
 type breaker_config = {
@@ -250,14 +243,14 @@ let degraded_selection ~inference_seconds d =
 type cache_probe = No_cache | Hit of float * float | Miss of string
 
 let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
-    ?(quantized = false) model formula =
+    model formula =
   Obs.Metrics.incr m_selections;
   let probe =
     if not use_cache then No_cache
     else begin
       Cache.ensure_stamp cache model;
       let t0 = Runtime.Clock.now () in
-      let key = cache_key ~quantized formula in
+      let key = Cnf.Fingerprint.compute_hex formula in
       match Cache.find cache key with
       | Some probability -> Hit (probability, Runtime.Clock.elapsed_since t0)
       | None -> Miss key
@@ -291,9 +284,7 @@ let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
                 if Runtime.Fault.fires Runtime.Fault.Inference_failure then
                   Runtime.Error.raise_
                     (Runtime.Error.Injected_fault { point = "inference" });
-                let graph = Satgraph.Bigraph.of_formula formula in
-                if quantized then Model.predict_q8 model graph
-                else Model.predict model graph)
+                Model.predict model (Satgraph.Bigraph.of_formula formula))
           with
           | p when Float.is_finite p -> Ok p
           | p -> Error (Non_finite_probability p)
@@ -324,150 +315,9 @@ let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
         | Error d -> degraded_selection ~inference_seconds d
       end)
 
-(* Batched selection: cache hits are resolved first, then all misses
-   share ONE packed forward ([Model.forward_batch]) and one breaker
-   transaction — a campaign touches the breaker once per batch, not
-   once per instance. Results come back in input order. *)
-let select_policy_batch ?(alpha = Cdcl.Policy.default_alpha)
-    ?(use_cache = false) ?(quantized = false) model formulas =
-  let n = List.length formulas in
-  if n = 0 then []
-  else begin
-    Obs.Metrics.add m_selections n;
-    if use_cache then Cache.ensure_stamp cache model;
-    let formulas = Array.of_list formulas in
-    let probes =
-      Array.map
-        (fun f ->
-          if not use_cache then No_cache
-          else
-            let key = cache_key ~quantized f in
-            match Cache.find cache key with
-            | Some p -> Hit (p, 0.0)
-            | None -> Miss key)
-        formulas
-    in
-    let miss_idx = ref [] in
-    Array.iteri
-      (fun i p ->
-        match p with
-        | Miss _ | No_cache -> miss_idx := i :: !miss_idx
-        | Hit _ -> ())
-      probes;
-    let miss_idx = Array.of_list (List.rev !miss_idx) in
-    let results = Array.make n None in
-    (if Array.length miss_idx > 0 then begin
-       if Runtime.Fault.fires Runtime.Fault.Breaker_trip then
-         Runtime.Breaker.force_open !breaker;
-       if not (Runtime.Breaker.allow !breaker) then
-         Array.iter
-           (fun i -> results.(i) <- Some (breaker_open_selection ()))
-           miss_idx
-       else begin
-         let nm = Array.length miss_idx in
-         let t0 = Runtime.Clock.now () in
-         let outcome =
-           match
-             Obs.Trace.with_span "selector.inference_batch" (fun () ->
-                 if Runtime.Fault.fires Runtime.Fault.Inference_failure then
-                   Runtime.Error.raise_
-                     (Runtime.Error.Injected_fault { point = "inference" });
-                 let graphs =
-                   Array.to_list
-                     (Array.map
-                        (fun i -> Satgraph.Bigraph.of_formula formulas.(i))
-                        miss_idx)
-                 in
-                 if quantized then Model.forward_batch_q8 model graphs
-                 else Model.forward_batch model graphs)
-           with
-           | probs -> Ok probs
-           | exception e -> Error (Model_failure (Printexc.to_string e))
-         in
-         let elapsed = Runtime.Clock.elapsed_since t0 in
-         let per_instance = elapsed /. float_of_int nm in
-         for _ = 1 to nm do
-           Obs.Metrics.observe h_inference per_instance
-         done;
-         let slow =
-           match !breaker_config.slow_call_seconds with
-           | Some s -> per_instance > s
-           | None -> false
-         in
-         (match outcome with
-         | Ok _ when not slow -> Runtime.Breaker.record_success !breaker
-         | Ok _ | Error _ -> Runtime.Breaker.record_failure !breaker);
-         match outcome with
-         | Ok probs ->
-             Array.iteri
-               (fun k i ->
-                 let probability = probs.(k) in
-                 if Float.is_finite probability then begin
-                   (match probes.(i) with
-                   | Miss key -> Cache.add cache key probability
-                   | No_cache | Hit _ -> ());
-                   results.(i) <-
-                     Some
-                       {
-                         policy = policy_of_probability ~alpha probability;
-                         probability;
-                         inference_seconds = per_instance;
-                         degraded = None;
-                         cached = false;
-                       }
-                 end
-                 else
-                   results.(i) <-
-                     Some
-                       (degraded_selection ~inference_seconds:per_instance
-                          (Non_finite_probability probability)))
-               miss_idx
-         | Error d ->
-             Array.iter
-               (fun i ->
-                 results.(i) <-
-                   Some (degraded_selection ~inference_seconds:per_instance d))
-               miss_idx
-       end
-     end);
-    List.init n (fun i ->
-        match probes.(i) with
-        | Hit (probability, seconds) ->
-            {
-              policy = policy_of_probability ~alpha probability;
-              probability;
-              inference_seconds = seconds;
-              degraded = None;
-              cached = true;
-            }
-        | No_cache | Miss _ -> (
-            match results.(i) with Some s -> s | None -> assert false))
-  end
-
-(* Float-vs-int8 decision agreement over an instance set; feeds the
-   quantization accuracy contract (DESIGN §13) and the
-   selector.q8_{agreements,disagreements} counters. *)
-let q8_agreement model formulas =
-  match formulas with
-  | [] -> 1.0
-  | _ ->
-      let graphs = List.map Satgraph.Bigraph.of_formula formulas in
-      let pf = Model.forward_batch model graphs in
-      let pq = Model.forward_batch_q8 model graphs in
-      let agree = ref 0 in
-      Array.iteri
-        (fun i p ->
-          if p > 0.5 = (pq.(i) > 0.5) then begin
-            incr agree;
-            Obs.Metrics.incr m_q8_agreements
-          end
-          else Obs.Metrics.incr m_q8_disagreements)
-        pf;
-      float_of_int !agree /. float_of_int (Array.length pf)
-
-let solve_adaptive ?(config = Cdcl.Config.default) ?alpha ?use_cache ?quantized
-    model formula =
-  let selection = select_policy ?alpha ?use_cache ?quantized model formula in
+let solve_adaptive ?(config = Cdcl.Config.default) ?alpha ?use_cache model
+    formula =
+  let selection = select_policy ?alpha ?use_cache model formula in
   let config = Cdcl.Config.with_policy selection.policy config in
   let result, stats = Cdcl.Solver.solve_formula ~config formula in
   (selection, result, stats)

@@ -45,7 +45,6 @@ type selection = {
 val select_policy :
   ?alpha:float ->
   ?use_cache:bool ->
-  ?quantized:bool ->
   Model.t ->
   Cnf.Formula.t ->
   selection
@@ -56,23 +55,7 @@ val select_policy :
     replays the stored probability without touching the model or the
     breaker. The cache is stamped with the model's
     ({!Model.uid}, {!Model.generation}) pair, so loading a checkpoint
-    into the model invalidates every cached decision.
-
-    [quantized] (default [false]) runs the int8 engine
-    ({!Model.predict_q8}) instead of the float32 one; cached entries
-    are keyed separately per numeric mode. *)
-
-val select_policy_batch :
-  ?alpha:float ->
-  ?use_cache:bool ->
-  ?quantized:bool ->
-  Model.t ->
-  Cnf.Formula.t list ->
-  selection list
-(** Batched selection: cache misses share one packed
-    {!Model.forward_batch} (one breaker transaction, one trace span);
-    [inference_seconds] of each miss is the batch wall-clock divided by
-    the number of misses. Results are in input order. *)
+    into the model invalidates every cached decision. *)
 
 (** {2 Decision cache} *)
 
@@ -94,12 +77,6 @@ val set_cache_capacity : int -> unit
 
 val clear_cache : unit -> unit
 (** Drop all entries (counted as evictions). *)
-
-val q8_agreement : Model.t -> Cnf.Formula.t list -> float
-(** Fraction of formulas on which the int8 and float32 engines make
-    the same policy decision (both sides of 0.5). Bumps the
-    [selector.q8_agreements]/[selector.q8_disagreements] counters;
-    [1.0] on the empty list. *)
 
 (** {2 Circuit breaker} *)
 
@@ -127,7 +104,6 @@ val solve_adaptive :
   ?config:Cdcl.Config.t ->
   ?alpha:float ->
   ?use_cache:bool ->
-  ?quantized:bool ->
   Model.t ->
   Cnf.Formula.t ->
   selection * Cdcl.Solver.result * Cdcl.Solver_stats.t

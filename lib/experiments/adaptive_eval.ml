@@ -95,12 +95,9 @@ let load_completed = function
         records;
       table)
 
-let batch_chunk = 32
-
-let run ?(alpha = Cdcl.Policy.default_alpha) ?(batch_inference = false)
-    ?progress ?journal ?deadline_seconds ?(retries = 1) ?(jobs = 1)
-    ?(isolate = false) ?mem_limit_mb ?worker_deadline_seconds model simtime
-    instances =
+let run ?(alpha = Cdcl.Policy.default_alpha) ?progress ?journal
+    ?deadline_seconds ?(retries = 1) ?(jobs = 1) ?(isolate = false)
+    ?mem_limit_mb ?worker_deadline_seconds model simtime instances =
   let completed = load_completed journal in
   let resumed = ref 0 in
   let failures = ref [] in
@@ -113,55 +110,13 @@ let run ?(alpha = Cdcl.Policy.default_alpha) ?(batch_inference = false)
   let say fmt = Printf.ksprintf (fun s ->
       match progress with Some f -> f s | None -> ()) fmt
   in
-  (* Batched inference: selections for every instance the campaign
-     will actually measure are computed up front in fixed-size packed
-     batches ([select_policy_batch]), with the fingerprint cache on so
-     repeated instances cost one forward. The precomputed table is
-     built before any worker forks, so supervised workers inherit it. *)
-  let preselected : (string, Core.Selector.selection) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  if batch_inference then begin
-    let pending =
-      List.filter
-        (fun (i : Gen.Dataset.instance) ->
-          not (Hashtbl.mem completed i.name))
-        instances
-    in
-    let rec chunks = function
-      | [] -> []
-      | l ->
-        let rec take k acc = function
-          | rest when k = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (k - 1) (x :: acc) rest
-        in
-        let c, rest = take batch_chunk [] l in
-        c :: chunks rest
-    in
-    List.iter
-      (fun chunk ->
-        let selections =
-          Core.Selector.select_policy_batch ~alpha ~use_cache:true model
-            (List.map (fun (i : Gen.Dataset.instance) -> i.formula) chunk)
-        in
-        List.iter2
-          (fun (i : Gen.Dataset.instance) s ->
-            Hashtbl.replace preselected i.name s)
-          chunk selections)
-      (chunks pending)
-  end;
   let measure (i : Gen.Dataset.instance) =
     let ( let* ) = Result.bind in
     let* kissat =
       Runner.solve_protected ~retries ?deadline_seconds simtime
         Cdcl.Policy.Default i.formula
     in
-    let selection =
-      match Hashtbl.find_opt preselected i.name with
-      | Some s -> s
-      | None -> Core.Selector.select_policy ~alpha model i.formula
-    in
+    let selection = Core.Selector.select_policy ~alpha model i.formula in
     let* adaptive =
       Runner.solve_protected ~retries ?deadline_seconds simtime
         selection.Core.Selector.policy i.formula

@@ -55,7 +55,6 @@ type t = {
 
 val run :
   ?alpha:float ->
-  ?batch_inference:bool ->
   ?progress:(string -> unit) ->
   ?journal:string ->
   ?deadline_seconds:float ->
@@ -68,12 +67,7 @@ val run :
   Simtime.t ->
   Gen.Dataset.instance list ->
   t
-(** [batch_inference] precomputes every selection up front in packed
-    batches ({!Core.Selector.select_policy_batch}) with the fingerprint
-    cache enabled, instead of one forward per instance inside the
-    measurement loop.
-
-    [journal] enables JSONL partial-result persistence and resume.
+(** [journal] enables JSONL partial-result persistence and resume.
     [deadline_seconds] adds a per-solve wall-clock budget alongside
     the propagation budget. [retries] (default 1) bounds per-instance
     retry on crash.

@@ -34,8 +34,6 @@ module Linear = struct
 
   let in_dim t = t.in_dim
   let out_dim t = t.out_dim
-  let weight_value t = t.weight.Param.value
-  let bias_value t = Option.map (fun (b : Param.t) -> b.Param.value) t.bias
 
   (* Tape-free forward: same affine map on plain matrices. No autodiff
      nodes and no per-layer histogram sample — the fast path accounts
@@ -45,11 +43,6 @@ module Linear = struct
     match t.bias with
     | None -> ()
     | Some b -> Mat.add_row_in_place out b.Param.value
-
-  let infer t x =
-    let out = Mat.zeros (Mat.rows x) t.out_dim in
-    infer_into t ~out x;
-    out
 end
 
 module Mlp = struct
@@ -78,15 +71,4 @@ module Mlp = struct
 
   let params t = List.concat_map Linear.params t.layers
   let linears t = t.layers
-
-  let infer t x =
-    let rec go x = function
-      | [] -> x
-      | [ last ] -> Linear.infer last x
-      | layer :: rest ->
-          let y = Linear.infer layer x in
-          Mat.relu_in_place y;
-          go y rest
-    in
-    go x t.layers
 end

@@ -16,17 +16,10 @@ module Linear : sig
   val in_dim : t -> int
   val out_dim : t -> int
 
-  val weight_value : t -> Tensor.Mat.t
-  (** Current weight value (live reference, not a copy). *)
-
-  val bias_value : t -> Tensor.Mat.t option
-
-  val infer : t -> Tensor.Mat.t -> Tensor.Mat.t
-  (** Tape-free forward on plain matrices; no autodiff allocation. *)
-
   val infer_into : t -> out:Tensor.Mat.t -> Tensor.Mat.t -> unit
-  (** In-place variant writing into a preallocated [n x out_dim]
-      buffer (the hot inference path). *)
+  (** Tape-free forward on plain matrices, written into a preallocated
+      [n x out_dim] buffer (the inference engine's only layer entry
+      point); no autodiff allocation. *)
 end
 
 (** Multi-layer perceptron with ReLU between hidden layers and a linear
@@ -43,7 +36,4 @@ module Mlp : sig
 
   val linears : t -> Linear.t list
   (** Constituent layers in application order. *)
-
-  val infer : t -> Tensor.Mat.t -> Tensor.Mat.t
-  (** Tape-free forward (ReLU between hidden layers, linear last). *)
 end

@@ -9,23 +9,22 @@ type t = {
   date : string;
   fast : bool;
   kernels : kernel list;
-  metrics : Json.t;
 }
 
-let make ~date ~fast ~kernels ~metrics = { date; fast; kernels; metrics }
+let make ~date ~fast ~kernels = { date; fast; kernels }
 
 let kernel_json k =
   Json.Obj [ ("name", Json.String k.name); ("ns_per_run", Json.Float k.ns_per_run) ]
 
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("date", Json.String t.date);
-      ("fast", Json.Bool t.fast);
-      ("kernels", Json.List (List.map kernel_json t.kernels));
-      ("metrics", t.metrics);
-    ]
+let fields t =
+  [
+    ("schema", Json.String schema);
+    ("date", Json.String t.date);
+    ("fast", Json.Bool t.fast);
+    ("kernels", Json.List (List.map kernel_json t.kernels));
+  ]
+
+let to_json t = Json.Obj (fields t)
 
 let ( let* ) = Result.bind
 
@@ -72,20 +71,25 @@ let of_json j =
         Ok (k :: acc))
       (Ok []) kernel_list
   in
-  let* metrics = require "missing 'metrics' object" (Json.member "metrics" j) in
-  Ok { date; fast; kernels = List.rev kernels; metrics }
+  Ok { date; fast; kernels = List.rev kernels }
 
-let validate j =
-  let* t = of_json j in
-  Report.validate t.metrics
+(* The same document as [to_json], laid out one field and one kernel
+   per line so a baseline refresh reviews as a line diff. *)
+let to_lines t =
+  let value = function
+    | Json.List items ->
+        "[\n    " ^ String.concat ",\n    " (List.map Json.to_string items)
+        ^ "\n  ]"
+    | v -> Json.to_string v
+  in
+  let field (k, v) = "  " ^ Json.to_string (Json.String k) ^ ": " ^ value v in
+  "{\n" ^ String.concat ",\n" (List.map field (fields t)) ^ "\n}\n"
 
 let write_file path t =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')
+    (fun () -> output_string oc (to_lines t))
 
 let read_file path =
   let* text =

@@ -5,9 +5,13 @@
     { "schema": "ns.bench/1",
       "date": "YYYY-MM-DD",
       "fast": <bool>,
-      "kernels": [ {"name": <string>, "ns_per_run": <float>}, … ],
-      "metrics": <ns.metrics/1 report> }
+      "kernels": [ {"name": <string>, "ns_per_run": <float>}, … ] }
     v}
+
+    Reports hold kernel timings only; a metrics snapshot, when one is
+    wanted, is a separate ["ns.metrics/1"] file ({!Report.write}).
+    Unknown top-level fields (such as the [metrics] object older
+    reports embedded) are ignored on read.
 
     [bench/main.ml --json] emits these; [bin/benchdiff.exe] compares a
     current report against the checked-in [bench/baseline.json] and
@@ -22,14 +26,11 @@ type t = {
   date : string;
   fast : bool;
   kernels : kernel list;
-  metrics : Json.t;  (** An ["ns.metrics/1"] document. *)
 }
 
-val make : date:string -> fast:bool -> kernels:kernel list -> metrics:Json.t -> t
+val make : date:string -> fast:bool -> kernels:kernel list -> t
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-val validate : Json.t -> (unit, string) result
-(** Full check including the embedded metrics report's schema. *)
 
 val write_file : string -> t -> unit
 val read_file : string -> (t, string) result

@@ -11,8 +11,6 @@ type point =
   | Wal_torn_append
   | Wal_crash_before_fsync
   | Wal_snapshot_crash
-  | Share_torn_frame
-  | Portfolio_worker_kill
 
 let all =
   [
@@ -28,8 +26,6 @@ let all =
     Wal_torn_append;
     Wal_crash_before_fsync;
     Wal_snapshot_crash;
-    Share_torn_frame;
-    Portfolio_worker_kill;
   ]
 
 let name = function
@@ -45,8 +41,6 @@ let name = function
   | Wal_torn_append -> "wal-torn-append"
   | Wal_crash_before_fsync -> "wal-crash-before-fsync"
   | Wal_snapshot_crash -> "wal-snapshot-crash"
-  | Share_torn_frame -> "share-torn-frame"
-  | Portfolio_worker_kill -> "portfolio-worker-kill"
 
 let of_name s = List.find_opt (fun p -> name p = s) all
 

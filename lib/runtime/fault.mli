@@ -54,16 +54,6 @@ type point =
           destination (no atomic rename) and raises, simulating a crash
           mid-compaction. Recovery must reject the corrupt snapshot and
           fall back to an older one plus segment replay. *)
-  | Share_torn_frame
-      (** A portfolio worker truncates the clause batch inside its
-          export frame and drops out of sharing, simulating a torn
-          write on the exchange pipe. The parent must drop and count
-          the torn batch; the worker keeps solving solo. *)
-  | Portfolio_worker_kill
-      (** The portfolio parent SIGKILLs one worker mid-exchange (while
-          it is blocked awaiting imports). Decided in the parent like
-          {!Worker_crash}; the portfolio must drop the worker from the
-          barrier and still return a correct verdict. *)
 
 val all : point list
 val name : point -> string

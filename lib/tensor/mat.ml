@@ -429,32 +429,6 @@ let relu_in_place m =
     if not (x > 0.0) then d.(k) <- 0.0
   done
 
-let gather_rows_into ~out src idx =
-  let n = src.cols in
-  if out.cols <> n || out.rows <> Array.length idx then
-    invalid_arg "Mat.gather_rows_into: shape mismatch";
-  let od = out.data and sd = src.data in
-  for e = 0 to Array.length idx - 1 do
-    let i = idx.(e) in
-    if i < 0 || i >= src.rows then invalid_arg "Mat.gather_rows_into: index";
-    Array.blit sd (i * n) od (e * n) n
-  done
-
-let scatter_sum_into ~out src idx =
-  let n = src.cols in
-  if out.cols <> n || Array.length idx <> src.rows then
-    invalid_arg "Mat.scatter_sum_into: shape mismatch";
-  let od = out.data and sd = src.data in
-  Array.fill od 0 (Array.length od) 0.0;
-  for e = 0 to Array.length idx - 1 do
-    let i = idx.(e) in
-    if i < 0 || i >= out.rows then invalid_arg "Mat.scatter_sum_into: index";
-    let obase = i * n and sbase = e * n in
-    for j = 0 to n - 1 do
-      od.(obase + j) <- od.(obase + j) +. sd.(sbase + j)
-    done
-  done
-
 (* Fused gather -> per-edge scale -> scatter-sum: one pass over the
    edge stream instead of three, no intermediate [edges x cols] buffer.
    Accumulates in ascending edge order with the identical
@@ -491,169 +465,6 @@ let scale_rows_in_place m s =
       d.(base + j) <- f *. d.(base + j)
     done
   done
-
-module Batch = struct
-  type mat = t
-  type nonrec t = { data : t; offsets : int array }
-
-  let pack mats =
-    match mats with
-    | [] -> invalid_arg "Mat.Batch.pack: empty batch"
-    | first :: _ ->
-        let cols = first.cols in
-        let count = List.length mats in
-        let total =
-          List.fold_left
-            (fun acc (m : mat) ->
-              if m.cols <> cols then invalid_arg "Mat.Batch.pack: ragged cols";
-              acc + m.rows)
-            0 mats
-        in
-        let data = zeros total cols in
-        let offsets = Array.make (count + 1) 0 in
-        let r = ref 0 and idx = ref 0 in
-        List.iter
-          (fun (m : mat) ->
-            Array.blit m.data 0 data.data (!r * cols) (m.rows * cols);
-            offsets.(!idx) <- !r;
-            incr idx;
-            r := !r + m.rows)
-          mats;
-        offsets.(!idx) <- !r;
-        { data; offsets }
-
-  let count b = Array.length b.offsets - 1
-  let data b = b.data
-  let offset b i = b.offsets.(i)
-  let rows_of b i = b.offsets.(i + 1) - b.offsets.(i)
-  let matmul b w = { b with data = matmul b.data w }
-
-  let unpack b =
-    List.init (count b) (fun i ->
-        let r0 = b.offsets.(i) in
-        let nr = rows_of b i in
-        let cols = b.data.cols in
-        of_array ~rows:nr ~cols (Array.sub b.data.data (r0 * cols) (nr * cols)))
-end
-
-module Q8 = struct
-  type mat = t
-
-  type nonrec t = {
-    rows : int;
-    cols : int;
-    data : Bytes.t;  (** Row-major int8, two's complement. *)
-    scale : float;
-    zero_point : int;
-  }
-
-  let rows q = q.rows
-  let cols q = q.cols
-  let scale q = q.scale
-  let zero_point q = q.zero_point
-
-  (* Sign-extend the low 8 bits of a non-negative byte value. *)
-  let sx v = (v lsl 55) asr 55
-  let iround x = int_of_float (Float.round x)
-  let clamp_i8 v = if v < -128 then -128 else if v > 127 then 127 else v
-
-  (* Asymmetric per-matrix affine quantization: q = round(x/scale) + zp
-     clamped to [-128, 127], x ≈ scale * (q - zp). The [min, max] range
-     maps onto the full int8 span, so the round-trip error is bounded by
-     [scale] (half a step from rounding plus at most half a step from
-     the rounded zero-point). A constant matrix is stored exactly via a
-     symmetric scale. *)
-  let quantize (m : mat) =
-    let n = Array.length m.data in
-    let mn = ref infinity and mx = ref neg_infinity in
-    let finite = ref true in
-    for k = 0 to n - 1 do
-      let x = m.data.(k) in
-      (* NaN compares false both ways, so the min/max scan alone would
-         let it through; track finiteness explicitly. *)
-      if not (Float.is_finite x) then finite := false;
-      if x < !mn then mn := x;
-      if x > !mx then mx := x
-    done;
-    if not !finite then invalid_arg "Mat.Q8.quantize: non-finite entries";
-    let mn = if n = 0 then 0.0 else !mn and mx = if n = 0 then 0.0 else !mx in
-    let scale, zp =
-      if mx -. mn <= 0.0 then
-        if mx = 0.0 then (1.0, 0) else (Float.abs mx /. 127.0, 0)
-      else
-        let scale = (mx -. mn) /. 255.0 in
-        (scale, -128 - iround (mn /. scale))
-    in
-    let data = Bytes.create n in
-    for k = 0 to n - 1 do
-      let q = clamp_i8 (iround (m.data.(k) /. scale) + zp) in
-      Bytes.unsafe_set data k (Char.unsafe_chr (q land 0xff))
-    done;
-    { rows = m.rows; cols = m.cols; data; scale; zero_point = zp }
-
-  let dequantize q =
-    init q.rows q.cols (fun i j ->
-        let v = sx (Char.code (Bytes.get q.data ((i * q.cols) + j))) in
-        q.scale *. float_of_int (v - q.zero_point))
-
-  (* [a (float) x b (int8)]: the activation matrix is quantized on the
-     fly with a symmetric per-matrix scale (max |a| / 127, zero point
-     0), the product accumulates in native ints (covers int32 with
-     headroom: |term| <= 127*128, so ~2^47 terms fit in 63 bits), and
-     the weight zero point is folded out afterwards with the row sums:
-     out = sa*sb * (sum_k aq_ik*bq_kj - zp_b * sum_k aq_ik). *)
-  let matmul_into ~out:(out : mat) (a : mat) bq =
-    if a.cols <> bq.rows then invalid_arg "Mat.Q8.matmul: inner dims";
-    if out.rows <> a.rows || out.cols <> bq.cols then
-      invalid_arg "Mat.Q8.matmul: out shape";
-    let m = a.rows and kk = a.cols and n = bq.cols in
-    let ad = a.data and od = out.data and bd = bq.data in
-    let amax = ref 0.0 in
-    for k = 0 to Array.length ad - 1 do
-      let x = Float.abs ad.(k) in
-      if x > !amax then amax := x
-    done;
-    if not (Float.is_finite !amax) then
-      invalid_arg "Mat.Q8.matmul: non-finite activations";
-    if !amax = 0.0 || kk = 0 then Array.fill od 0 (m * n) 0.0
-    else begin
-      let sa = !amax /. 127.0 in
-      let sab = sa *. bq.scale in
-      let zb = bq.zero_point in
-      let aq = Array.make kk 0 in
-      let acc = Array.make n 0 in
-      for i = 0 to m - 1 do
-        let arow = i * kk in
-        let rowsum = ref 0 in
-        for k = 0 to kk - 1 do
-          let q = clamp_i8 (iround (ad.(arow + k) /. sa)) in
-          aq.(k) <- q;
-          rowsum := !rowsum + q
-        done;
-        Array.fill acc 0 n 0;
-        for k = 0 to kk - 1 do
-          let v = aq.(k) in
-          if v <> 0 then begin
-            let brow = k * n in
-            for j = 0 to n - 1 do
-              acc.(j) <-
-                acc.(j) + (v * sx (Char.code (Bytes.unsafe_get bd (brow + j))))
-            done
-          end
-        done;
-        let corr = zb * !rowsum in
-        let obase = i * n in
-        for j = 0 to n - 1 do
-          od.(obase + j) <- sab *. float_of_int (acc.(j) - corr)
-        done
-      done
-    end
-
-  let matmul (a : mat) bq =
-    let out = zeros a.rows bq.cols in
-    matmul_into ~out a bq;
-    out
-end
 
 let approx_equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

@@ -100,15 +100,6 @@ val add_row_in_place : t -> t -> unit
 
 val relu_in_place : t -> unit
 
-val gather_rows_into : out:t -> t -> int array -> unit
-(** [gather_rows_into ~out src idx]: [out.(e, :) <- src.(idx.(e), :)].
-    [out] must be [length idx x cols src]. *)
-
-val scatter_sum_into : out:t -> t -> int array -> unit
-(** [scatter_sum_into ~out src idx] zeroes [out] then accumulates
-    [src.(e, :)] into [out.(idx.(e), :)] in ascending [e] — same
-    summation order as the autodiff scatter. *)
-
 val scale_rows_in_place : t -> float array -> unit
 (** Row [i] scaled by [s.(i)]. *)
 
@@ -118,55 +109,6 @@ val scatter_weighted_rows_into :
     ascending [e], after zeroing [out] — the fused
     gather/scale/scatter-sum of the message-passing aggregation,
     bit-identical to the three separate passes. *)
-
-(** Packed batch of same-width matrices: N row-major operands stacked
-    into one tall matrix so a campaign's N small GEMMs against a shared
-    weight collapse into one blocked GEMM. Row segments stay contiguous,
-    so per-instance ops address [data] with [offset]/[rows_of]. *)
-module Batch : sig
-  type mat := t
-  type t
-
-  val pack : mat list -> t
-  (** @raise Invalid_argument on an empty list or mismatched widths. *)
-
-  val count : t -> int
-  val data : t -> mat
-  val offset : t -> int -> int
-  (** Starting row of instance [i] in {!data}. *)
-
-  val rows_of : t -> int -> int
-  val matmul : t -> mat -> t
-  (** One big GEMM against a shared right-hand side. *)
-
-  val unpack : t -> mat list
-end
-
-(** Int8 affine quantization: per-matrix scale and zero point, for the
-    trained selector's weights. [q8 = round(x/scale) + zero_point]
-    clamped to [-128, 127]; dequantization error is bounded by [scale].
-    {!matmul} quantizes the float activations symmetrically on the fly
-    and accumulates in integers. *)
-module Q8 : sig
-  type mat := t
-  type t
-
-  val quantize : mat -> t
-  (** @raise Invalid_argument on non-finite entries. *)
-
-  val dequantize : t -> mat
-  val rows : t -> int
-  val cols : t -> int
-  val scale : t -> float
-  val zero_point : t -> int
-
-  val matmul : mat -> t -> mat
-  (** [matmul a qb] for float activations [a : m x k] and quantized
-      weights [qb : k x n]; integer accumulation, zero point folded out
-      via row sums. *)
-
-  val matmul_into : out:mat -> mat -> t -> unit
-end
 
 val matmul_transpose_a : t -> t -> t
 (** [matmul_transpose_a a b = matmul (transpose a) b] without the copy. *)

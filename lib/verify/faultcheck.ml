@@ -822,65 +822,6 @@ let wal_snapshot_recovery_verdicts ~seed ~dir () =
 
 (* --- driver --- *)
 
-(* --- portfolio sharing scenarios --- *)
-
-(* SIGKILL one portfolio worker mid-exchange (the parent fires
-   [Portfolio_worker_kill] at a relay barrier and reaps the loss). The
-   survivors must still reach the correct verdict, and the winning
-   UNSAT proof must stay DRUP-checkable — imports from the dead worker
-   that were already relayed are RUP-validated like any others. *)
-let portfolio_worker_kill_verdict ~seed ~dir:_ () =
-  let f = Gen.Pigeonhole.unsat 7 in
-  Fault.arm ~seed ~limit:1 [ Fault.Portfolio_worker_kill ];
-  let o = Portfolio.solve ~k:3 ~seed:2 ~proof:true f in
-  Fault.disarm ();
-  check (o.Portfolio.workers_killed >= 1) "no worker was killed mid-exchange";
-  (match o.Portfolio.verdict with
-  | Portfolio.Unsat (Some proof) -> (
-    match Cdcl.Drup_check.check f proof with
-    | Cdcl.Drup_check.Valid -> ()
-    | Cdcl.Drup_check.Invalid { line; reason } ->
-      failwith
-        (Printf.sprintf "winning proof invalid at line %d: %s" line reason))
-  | Portfolio.Unsat None -> failwith "winning proof was not captured"
-  | Portfolio.Sat _ | Portfolio.Unknown ->
-    failwith "verdict lost after worker kill");
-  Printf.sprintf
-    "worker SIGKILLed mid-exchange; survivors decided UNSAT (winner %s, %d \
-     epochs) with a valid DRUP proof"
-    o.Portfolio.winner_name o.Portfolio.epochs
-
-(* Torn clause frames: every worker inherits the armed fault and tears
-   its first export blob inside an intact pipe frame. The parent must
-   drop and count each torn batch — never relay it — and the torn
-   workers drop to solo solving; the importers' arenas stay sound, so
-   the verdict and proof are unaffected. *)
-let portfolio_torn_frame_dropped ~seed ~dir:_ () =
-  let f = Gen.Pigeonhole.unsat 7 in
-  Fault.arm ~seed ~limit:1 [ Fault.Share_torn_frame ];
-  let o = Portfolio.solve ~k:3 ~seed:2 ~proof:true f in
-  Fault.disarm ();
-  check (o.Portfolio.torn_frames >= 1) "torn frame was never counted";
-  (match o.Portfolio.verdict with
-  | Portfolio.Unsat (Some proof) -> (
-    match Cdcl.Drup_check.check f proof with
-    | Cdcl.Drup_check.Valid -> ()
-    | Cdcl.Drup_check.Invalid { line; reason } ->
-      failwith
-        (Printf.sprintf
-           "proof corrupted after torn frame at line %d: %s" line reason))
-  | Portfolio.Unsat None -> failwith "winning proof was not captured"
-  | Portfolio.Sat _ | Portfolio.Unknown ->
-    failwith "verdict lost after torn frame");
-  (* Cross-check against a reference in-process solve. *)
-  (match Cdcl.Solver.solve_formula f with
-  | Cdcl.Solver.Unsat, _ -> ()
-  | _ -> failwith "reference solve disagrees");
-  Printf.sprintf
-    "%d torn clause frame(s) dropped and counted; verdict matches the \
-     reference solve with a valid proof"
-    o.Portfolio.torn_frames
-
 let all_scenarios =
   [
     ("torn-checkpoint-write", torn_write_falls_back);
@@ -903,8 +844,6 @@ let all_scenarios =
     ("wal-snapshot-crash-fallback", wal_snapshot_crash_falls_back);
     ("wal-recovery-oracle", wal_recovery_matches_oracle);
     ("wal-snapshot-recovery-oracle", wal_snapshot_recovery_verdicts);
-    ("portfolio-worker-kill", portfolio_worker_kill_verdict);
-    ("portfolio-torn-frame", portfolio_torn_frame_dropped);
   ]
 
 let run_all ?dir ~seed () =

@@ -462,6 +462,15 @@ let graphs_for_engine_tests n =
         (Gen.Ksat.generate rng ~num_vars:(20 + (3 * i)) ~num_clauses:(80 + (5 * i))
            ~k:3))
 
+(* Reference prediction through the autodiff tape — the training-path
+   numerics, kept here as the oracle for the engine behind
+   [Model.predict]. *)
+let predict_tape model graph =
+  let tape = Nn.Ad.tape () in
+  let logit = Core.Model.forward_logit model tape graph in
+  let z = Tensor.Mat.get (Nn.Ad.value logit) 0 0 in
+  1.0 /. (1.0 +. exp (-.z))
+
 (* The engine replaced the training tape as the production [predict]
    path; it must reproduce the tape's output to the last bit. *)
 let test_engine_matches_tape () =
@@ -469,22 +478,10 @@ let test_engine_matches_tape () =
   List.iter
     (fun g ->
       let fast = Core.Model.predict model g in
-      let tape = Core.Model.predict_tape model g in
+      let tape = predict_tape model g in
       checkb "engine = tape (bits)" true
         (Int64.bits_of_float fast = Int64.bits_of_float tape))
     (small_graph :: graphs_for_engine_tests 4)
-
-let test_forward_batch_matches_singles () =
-  let model = Core.Model.create Core.Model.paper_config in
-  let graphs = graphs_for_engine_tests 6 in
-  let batched = Core.Model.forward_batch model graphs in
-  List.iteri
-    (fun i g ->
-      checkb "batched = single (bits)" true
-        (Int64.bits_of_float batched.(i)
-        = Int64.bits_of_float (Core.Model.predict model g)))
-    graphs;
-  checki "empty batch" 0 (Array.length (Core.Model.forward_batch model []))
 
 (* Steady-state inference must be allocation-light: after warmup the
    engine runs out of pooled buffers, so a forward allocates orders of
@@ -501,29 +498,11 @@ let test_engine_allocation_light () =
     Gc.minor_words () -. before
   in
   let fast = words_of (fun () -> ignore (Core.Model.predict model g)) in
-  let tape = words_of (fun () -> ignore (Core.Model.predict_tape model g)) in
+  let tape = words_of (fun () -> ignore (predict_tape model g)) in
   checkb
     (Printf.sprintf "fast %.0f words << tape %.0f words" fast tape)
     true
     (fast < tape /. 20.0)
-
-let test_q8_predict_close_and_agreement () =
-  let model = Core.Model.create Core.Model.paper_config in
-  let graphs = graphs_for_engine_tests 5 in
-  List.iter
-    (fun g ->
-      let p = Core.Model.predict model g in
-      let pq = Core.Model.predict_q8 model g in
-      checkb "q8 within 0.05 of float" true (Float.abs (p -. pq) < 0.05))
-    graphs;
-  let formulas =
-    List.init 8 (fun i ->
-        let rng = Util.Rng.create (900 + i) in
-        Gen.Ksat.generate rng ~num_vars:15 ~num_clauses:60 ~k:3)
-  in
-  let frac = Core.Selector.q8_agreement model formulas in
-  checkb "agreement fraction in [0,1]" true (frac >= 0.0 && frac <= 1.0);
-  checkf "empty agreement" 1.0 (Core.Selector.q8_agreement model [])
 
 (* --- selector decision cache -------------------------------------------- *)
 
@@ -617,52 +596,16 @@ let test_selector_cache_capacity_eviction () =
         (Invalid_argument "Selector.set_cache_capacity") (fun () ->
           Core.Selector.set_cache_capacity 0))
 
-let test_selector_batch_matches_singles () =
-  Core.Selector.clear_cache ();
-  Core.Selector.reset_breaker ();
-  let model = Core.Model.create Core.Model.small_config in
-  let formulas =
-    List.init 5 (fun i ->
-        Generators.ksat ~seed:(800 + i) ~num_vars:12 ~num_clauses:40 ())
-  in
-  let singles =
-    List.map (fun f -> Core.Selector.select_policy model f) formulas
-  in
-  let batch = Core.Selector.select_policy_batch model formulas in
-  List.iter2
-    (fun (a : Core.Selector.selection) (b : Core.Selector.selection) ->
-      checkb "same probability (bits)" true
-        (Int64.bits_of_float a.Core.Selector.probability
-        = Int64.bits_of_float b.Core.Selector.probability);
-      checkb "same policy" true
-        (a.Core.Selector.policy = b.Core.Selector.policy))
-    singles batch;
-  (* With the cache on, a second batch of the same formulas is all hits. *)
-  let warm = Core.Selector.select_policy_batch ~use_cache:true model formulas in
-  checkb "first cached batch has misses" true
-    (List.exists (fun s -> not s.Core.Selector.cached) warm);
-  let hot = Core.Selector.select_policy_batch ~use_cache:true model formulas in
-  checkb "second cached batch all hits" true
-    (List.for_all (fun s -> s.Core.Selector.cached) hot);
-  checki "empty batch" 0
-    (List.length (Core.Selector.select_policy_batch model []))
-
 let suite =
   suite
   @ [
       Alcotest.test_case "engine matches tape" `Quick test_engine_matches_tape;
-      Alcotest.test_case "forward_batch matches singles" `Quick
-        test_forward_batch_matches_singles;
       Alcotest.test_case "engine allocation-light" `Quick
         test_engine_allocation_light;
-      Alcotest.test_case "q8 predict close + agreement" `Quick
-        test_q8_predict_close_and_agreement;
       Alcotest.test_case "selector cache hit/miss/stats" `Quick
         test_selector_cache_hit_and_stats;
       Alcotest.test_case "selector cache invalidated by load" `Quick
         test_selector_cache_invalidated_by_load;
       Alcotest.test_case "selector cache capacity/LRU" `Quick
         test_selector_cache_capacity_eviction;
-      Alcotest.test_case "selector batch matches singles" `Quick
-        test_selector_batch_matches_singles;
     ]

@@ -20,5 +20,4 @@ let () =
       ("verify", Test_verify.suite);
       ("refdiff", Test_refdiff.suite);
       ("inprocess", Test_inprocess.suite);
-      ("portfolio", Test_portfolio.suite);
     ]

@@ -175,69 +175,6 @@ let test_matmul_into_shape_and_alias () =
     (Invalid_argument "Mat.matmul_into: out aliases an input") (fun () ->
       Mat.matmul_into ~out:sq sq sq)
 
-let test_batch_pack_unpack_matmul () =
-  let rng = Util.Rng.create 9 in
-  let mats = List.init 5 (fun i -> Mat.random_uniform rng (1 + i) 6 1.0) in
-  let batch = Mat.Batch.pack mats in
-  checki "count" 5 (Mat.Batch.count batch);
-  checki "total rows" 15 (Mat.rows (Mat.Batch.data batch));
-  List.iteri
-    (fun i m ->
-      checki "offset" (i * (i + 1) / 2) (Mat.Batch.offset batch i);
-      checki "rows_of" (Mat.rows m) (Mat.Batch.rows_of batch i))
-    mats;
-  let round = Mat.Batch.unpack batch in
-  List.iter2 (fun m m' -> checkb "unpack" true (bit_identical m m')) mats round;
-  let w = Mat.random_uniform rng 6 3 1.0 in
-  let out = Mat.Batch.unpack (Mat.Batch.matmul batch w) in
-  List.iter2
-    (fun m o -> checkb "batched = per-instance" true (bit_identical (Mat.matmul m w) o))
-    mats out
-
-(* --- int8 quantization --------------------------------------------------- *)
-
-let prop_q8_round_trip =
-  QCheck.Test.make ~name:"q8 round-trip error <= scale" ~count:80
-    QCheck.small_int (fun seed ->
-      let rng = Util.Rng.create (seed + 1) in
-      let r = 1 + Util.Rng.int rng 12 in
-      let c = 1 + Util.Rng.int rng 12 in
-      let m = Mat.random_uniform rng r c 3.0 in
-      let q = Mat.Q8.quantize m in
-      let d = Mat.Q8.dequantize q in
-      let bound = Mat.Q8.scale q +. 1e-12 in
-      let ok = ref true in
-      for i = 0 to r - 1 do
-        for j = 0 to c - 1 do
-          if Float.abs (Mat.get m i j -. Mat.get d i j) > bound then ok := false
-        done
-      done;
-      !ok)
-
-let test_q8_matmul_close () =
-  let rng = Util.Rng.create 21 in
-  let a = Mat.random_uniform rng 7 16 1.0 in
-  let b = Mat.random_uniform rng 16 5 1.0 in
-  let exact = Mat.matmul a b in
-  let approx = Mat.Q8.matmul a (Mat.Q8.quantize b) in
-  (* Error per element is bounded by sum_k |a_k| * scale_b plus the
-     activation quantization; 16 terms of |a|<=1 with scale ~ 2/255
-     keeps it well under 0.5. *)
-  let ok = ref true in
-  for i = 0 to 6 do
-    for j = 0 to 4 do
-      if Float.abs (Mat.get exact i j -. Mat.get approx i j) > 0.5 then
-        ok := false
-    done
-  done;
-  checkb "q8 matmul close to float" true !ok
-
-let test_q8_non_finite_rejected () =
-  let m = Mat.of_arrays [| [| 1.0; Float.nan |] |] in
-  Alcotest.check_raises "nan rejected"
-    (Invalid_argument "Mat.Q8.quantize: non-finite entries") (fun () ->
-      ignore (Mat.Q8.quantize m))
-
 let prop_matmul_assoc_with_vector =
   QCheck.Test.make ~name:"(AB)x = A(Bx)" ~count:50 QCheck.small_int (fun seed ->
       let rng = Util.Rng.create seed in
@@ -265,7 +202,6 @@ let qcheck_tests =
       prop_frobenius_scale;
       prop_blocked_matches_naive;
       prop_blocked_matches_naive_specials;
-      prop_q8_round_trip;
     ]
 
 let suite =
@@ -273,11 +209,6 @@ let suite =
     Alcotest.test_case "blocked GEMM vector shapes" `Quick test_blocked_vectors;
     Alcotest.test_case "matmul_into shape/alias" `Quick
       test_matmul_into_shape_and_alias;
-    Alcotest.test_case "batch pack/unpack/matmul" `Quick
-      test_batch_pack_unpack_matmul;
-    Alcotest.test_case "q8 matmul close" `Quick test_q8_matmul_close;
-    Alcotest.test_case "q8 rejects non-finite" `Quick
-      test_q8_non_finite_rejected;
     Alcotest.test_case "shapes" `Quick test_shapes;
     Alcotest.test_case "get/set bounds" `Quick test_get_set_bounds;
     Alcotest.test_case "ragged input" `Quick test_of_arrays_ragged;
