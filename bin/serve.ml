@@ -1,603 +1,32 @@
-(* ns-serve: long-lived incremental solve service.
+(* ns-serve: long-lived incremental solve service. This binary parses
+   flags, loads the --adaptive checkpoint and sets up the socket and
+   pidfile; the wire protocol, the worker pool, the session store and
+   the event loop live in Nserve.Server (see lib/serve/server.mli). *)
 
-   Speaks a length-prefixed JSON protocol (decimal byte count, newline,
-   flat JSON object — the Journal codec) over a Unix-domain socket or
-   stdin/stdout. One-shot solve requests are multiplexed onto a
-   Runtime.Pool of supervised worker processes with per-request wall
-   deadlines and RLIMIT_AS memory caps; a bounded queue sheds excess
-   load with 429-style responses instead of building backlog, and
-   crashed workers are retried with backoff. Incremental sessions run
-   in-process on the Cdcl.Solver IPASIR-style API. SIGTERM drains
-   gracefully: in-flight work finishes, new work is rejected, the
-   journal is flushed, and the process exits 0.
-
-   Requests (one JSON object per frame):
-     {"op":"ping","id":..}
-     {"op":"metrics","id":..}            server-level snapshot
-     {"op":"solve","id":..,"dimacs":..,
-      "deadline_s":..,"mem_mb":..}       pool-backed one-shot solve
-     {"op":"session","id":..,
-      "action":"new|add|new_var|solve|close|info",
-      "sid":..,"vars":..,"clause":"1 -2 0","assumptions":"1 -2",
-      "key":"client idempotency key"}
-
-   Responses echo "id", carry "status" ("ok" | "error" | "shed" |
-   "rejected") and, for solves, the verdict, model, solver statistics,
-   attempt count, latency, and the inference-breaker degraded flag.
-
-   Durability: with --wal DIR every mutating session op is appended to
-   a CRC-framed write-ahead log (Runtime.Wal, via
-   Nserve.Session_store) *before* the response is acked, and on
-   startup all sessions are rebuilt from the newest snapshot plus
-   segment replay. A request "key" makes client retries after a crash
-   exactly-once: a key already executed returns the cached reply with
-   "replayed":true instead of re-executing. *)
-
-let m_requests = Obs.Metrics.counter "serve.requests"
-let m_completed = Obs.Metrics.counter "serve.completed"
-let m_failed = Obs.Metrics.counter "serve.failed"
-let m_rejected = Obs.Metrics.counter "serve.rejected"
-let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
-
-(* A connected client: a frame reader over buffered inbound bytes. *)
-type client = {
-  fd : Unix.file_descr;
-  reader : Runtime.Frame.reader;
-  mutable alive : bool;
-}
-
-(* Extract complete frames in arrival order; a malformed length prefix
-   kills the connection. *)
-let drain_frames c =
-  let out = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Runtime.Frame.next c.reader with
-    | Some payload -> out := payload :: !out
-    | None -> continue := false
-  done;
-  if Runtime.Frame.malformed c.reader then c.alive <- false;
-  List.rev !out
-
-(* --- literal / model string helpers ----------------------------------- *)
-
+module Server = Nserve.Server
 module Store = Nserve.Session_store
 
-let model_to_string = Store.model_to_string
-let verdict_name = Store.verdict_name
-
-(* --- worker-side solve ------------------------------------------------- *)
-
-(* Runs inside the forked supervisor worker: parse, solve under the
-   request's wall budget, and return a flat-JSON payload the parent
-   merges into the response. *)
-let worker_solve ~deadline_s ~inject_marker ~policy dimacs () =
-  (match inject_marker with
-  | Some marker when not (Sys.file_exists marker) ->
-    (* Injected crash for drill scenarios: die on the first attempt,
-       succeed on the retry (the marker outlives this process). *)
-    (try
-       let oc = open_out marker in
-       close_out oc
-     with Sys_error _ -> ());
-    exit 66
-  | _ -> ());
-  match Runtime.Error.protect ~context:"serve.worker" (fun () ->
-      let f = Cnf.Dimacs.parse_string dimacs in
-      let config =
-        Cdcl.Config.with_budget ~max_wall_seconds:deadline_s
-          Cdcl.Config.default
-      in
-      (* The parent's policy selection rides in as the serialized
-         policy name; an unparseable name falls back to the default. *)
-      let config =
-        match Option.bind policy Cdcl.Policy.of_string with
-        | Some p -> Cdcl.Config.with_policy p config
-        | None -> config
-      in
-      let result, stats = Cdcl.Solver.solve_formula ~config f in
-      Runtime.Journal.encode
-        ([
-           ("verdict", Runtime.Journal.String (verdict_name result));
-           ( "model",
-             match result with
-             | Cdcl.Solver.Sat m -> Runtime.Journal.String (model_to_string m)
-             | _ -> Runtime.Journal.Null );
-           ("conflicts", Runtime.Journal.Int stats.Cdcl.Solver_stats.conflicts);
-           ("decisions", Runtime.Journal.Int stats.Cdcl.Solver_stats.decisions);
-           ( "propagations",
-             Runtime.Journal.Int stats.Cdcl.Solver_stats.propagations );
-           ( "learned",
-             Runtime.Journal.Int stats.Cdcl.Solver_stats.learned_total );
-         ]))
-  with
-  | Ok payload -> Ok payload
-  | Error e -> Error (Runtime.Error.to_string e)
-
-(* --- server state ------------------------------------------------------ *)
-
-type pending_req = {
-  pr_client : client;
-  pr_user_id : string;
-  pr_submitted : float;
-  pr_marker : string option;
-  pr_extra : Runtime.Journal.record;
-      (* Parent-side selection fields (policy, cache, probability)
-         merged into the solve response. *)
-}
-
-type server = {
-  pool : Runtime.Pool.t;
-  pending : (string, pending_req) Hashtbl.t; (* pool id -> request *)
-  selector : Core.Model.t option;
-      (* --adaptive: model for parent-side cached policy selection. *)
-  store : Store.t;
-  wal_enabled : bool;
-  journal : string option;
-  default_deadline : float;
-  default_mem_mb : int option;
-  allow_inject : bool;
-  verbose : bool;
-  mutable next_req : int;
-  mutable draining : bool;
-  mutable last_sweep : float; (* idle-session TTL sweeps *)
-}
-
-let log srv fmt =
-  Printf.ksprintf
-    (fun s -> if srv.verbose then Printf.eprintf "c [serve] %s\n%!" s)
-    fmt
-
-let degraded () =
-  match Core.Selector.breaker_state () with
-  | Runtime.Breaker.Open -> true
-  | Runtime.Breaker.Closed | Runtime.Breaker.Half_open -> false
-
-let journal_append srv record =
-  match srv.journal with
-  | None -> ()
+let load_selector checkpoint =
+  let model = Core.Model.create Core.Model.paper_config in
+  (match checkpoint with
   | Some path -> (
-    match Runtime.Journal.append path record with
-    | Ok () -> ()
-    | Error e -> log srv "journal append failed: %s" (Runtime.Error.to_string e))
-
-let respond srv client record =
-  if client.alive then
-    try Runtime.Frame.write client.fd (Runtime.Journal.encode record)
-    with Unix.Unix_error _ ->
-      client.alive <- false;
-      log srv "client write failed; dropping connection"
-
-let base_response ~id ~status rest =
-  ("id", Runtime.Journal.String id)
-  :: ("status", Runtime.Journal.String status)
-  :: ("degraded", Runtime.Journal.Bool (degraded ()))
-  :: rest
-
-(* Completion of a pool-backed solve: merge the worker payload (or the
-   failure) into the response, journal it, and clean up. *)
-let on_pool_complete srv (c : Runtime.Pool.completion) =
-  match Hashtbl.find_opt srv.pending c.Runtime.Pool.id with
-  | None -> ()
-  | Some pr ->
-    Hashtbl.remove srv.pending c.Runtime.Pool.id;
-    (match pr.pr_marker with
-    | Some m when Sys.file_exists m -> ( try Sys.remove m with Sys_error _ -> ())
-    | _ -> ());
-    let latency = Unix.gettimeofday () -. pr.pr_submitted in
-    Obs.Metrics.observe h_latency latency;
-    let tail =
-      [
-        ("attempts", Runtime.Journal.Int c.Runtime.Pool.attempts);
-        ("latency_ms", Runtime.Journal.Float (1000.0 *. latency));
-      ]
-    in
-    let record =
-      match c.Runtime.Pool.outcome with
-      | Runtime.Pool.Done payload ->
-        Obs.Metrics.incr m_completed;
-        let body =
-          match Runtime.Journal.parse_line payload with
-          | Some fields -> fields
-          | None ->
-            [ ("verdict", Runtime.Journal.String "unknown") ]
-        in
-        base_response ~id:pr.pr_user_id ~status:"ok"
-          (body @ pr.pr_extra @ tail)
-      | Runtime.Pool.Failed msg ->
-        Obs.Metrics.incr m_failed;
-        base_response ~id:pr.pr_user_id ~status:"error"
-          (("error", Runtime.Journal.String msg) :: tail)
-      | Runtime.Pool.Shed ->
-        (* 429-style: admission control refused the request. *)
-        base_response ~id:pr.pr_user_id ~status:"shed" tail
-    in
-    respond srv pr.pr_client record;
-    journal_append srv record
-
-(* --- request handling --------------------------------------------------- *)
-
-let handle_metrics srv ~id client =
-  let num name v = (name, Runtime.Journal.Int v) in
-  let cs = Core.Selector.cache_stats () in
-  respond srv client
-    (base_response ~id ~status:"ok"
-       [
-         num "requests" (Obs.Metrics.counter_value m_requests);
-         num "cache_hits" cs.Core.Selector.hits;
-         num "cache_misses" cs.Core.Selector.misses;
-         num "cache_evictions" cs.Core.Selector.evictions;
-         num "cache_size" cs.Core.Selector.size;
-         num "completed" (Obs.Metrics.counter_value m_completed);
-         num "failed" (Obs.Metrics.counter_value m_failed);
-         num "rejected" (Obs.Metrics.counter_value m_rejected);
-         num "shed" (Runtime.Pool.shed_count srv.pool);
-         num "worker_retries"
-           (Obs.Metrics.counter_value
-              (Obs.Metrics.counter "runtime.pool.worker_retries"));
-         num "in_flight" (Runtime.Pool.in_flight srv.pool);
-         num "queued" (Runtime.Pool.queued srv.pool);
-         num "sessions" (Store.session_count srv.store);
-         num "evicted" (Store.evictions srv.store);
-         num "snapshot_failures" (Store.snapshot_failures srv.store);
-         ("wal", Runtime.Journal.Bool srv.wal_enabled);
-         ( "breaker",
-           Runtime.Journal.String
-             (Runtime.Breaker.state_name (Core.Selector.breaker_state ())) );
-         ("draining", Runtime.Journal.Bool srv.draining);
-       ])
-
-let handle_solve srv ~id client fields =
-  match Runtime.Journal.find_string fields "dimacs" with
-  | None ->
-    respond srv client
-      (base_response ~id ~status:"error"
-         [ ("error", Runtime.Journal.String "solve: missing dimacs field") ])
-  | Some dimacs ->
-    let deadline_s =
-      match Runtime.Journal.find_float fields "deadline_s" with
-      | Some d when d > 0.0 && Float.is_finite d -> d
-      | _ -> srv.default_deadline
-    in
-    let mem_mb =
-      match Runtime.Journal.find_int fields "mem_mb" with
-      | Some m when m > 0 -> Some m
-      | _ -> srv.default_mem_mb
-    in
-    let inject_marker =
-      match Runtime.Journal.find_string fields "inject" with
-      | Some "crash_once" when srv.allow_inject ->
-        Some
-          (Filename.concat
-             (Filename.get_temp_dir_name ())
-             (Printf.sprintf "ns-serve-inject-%d-%d" (Unix.getpid ())
-                srv.next_req))
-      | _ -> None
-    in
-    (* --adaptive: select the deletion policy in the parent, through
-       the fingerprint-keyed decision cache, and ship the chosen
-       policy's name to the worker. A repeated instance costs a cache
-       lookup instead of a model forward. *)
-    let policy, extra =
-      match srv.selector with
-      | None -> (None, [])
-      | Some model -> (
-        match Cnf.Dimacs.parse_string dimacs with
-        | exception _ -> (None, [])
-        | formula ->
-          let t0 = Unix.gettimeofday () in
-          let s = Core.Selector.select_policy ~use_cache:true model formula in
-          let selection_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-          let extra =
-            [
-              ( "policy",
-                Runtime.Journal.String
-                  (Cdcl.Policy.name s.Core.Selector.policy) );
-              ( "cache",
-                Runtime.Journal.String
-                  (if s.Core.Selector.cached then "hit" else "miss") );
-              ("selection_ms", Runtime.Journal.Float selection_ms);
-            ]
-          in
-          let extra =
-            if Float.is_finite s.Core.Selector.probability then
-              extra
-              @ [
-                  ( "probability",
-                    Runtime.Journal.Float s.Core.Selector.probability );
-                ]
-            else extra
-          in
-          (Some (Cdcl.Policy.name s.Core.Selector.policy), extra))
-    in
-    let pool_id = Printf.sprintf "r%d" srv.next_req in
-    srv.next_req <- srv.next_req + 1;
-    Hashtbl.replace srv.pending pool_id
-      {
-        pr_client = client;
-        pr_user_id = id;
-        pr_submitted = Unix.gettimeofday ();
-        pr_marker = inject_marker;
-        pr_extra = extra;
-      };
-    let limits =
-      {
-        Runtime.Supervisor.default_limits with
-        Runtime.Supervisor.mem_limit_mb = mem_mb;
-        (* The solver budget returns Unknown at [deadline_s]; the
-           supervisor deadline is the backstop for a worker that fails
-           to honour it. *)
-        deadline_seconds = Some ((deadline_s *. 1.5) +. 1.0);
-      }
-    in
-    (* Shed submissions complete synchronously through on_pool_complete. *)
-    ignore
-      (Runtime.Pool.submit srv.pool ~limits ~id:pool_id
-         (worker_solve ~deadline_s ~inject_marker ~policy dimacs))
-
-(* Incremental sessions run in-process through the durable
-   Session_store; solver budgets (not supervisor deadlines) bound their
-   solve steps, so a session solve stalls the event loop for at most
-   the deadline. With --wal, Session_store appends every mutating op to
-   the log before this handler acks it. *)
-let handle_session srv ~id client fields =
-  let sid =
-    Option.value (Runtime.Journal.find_string fields "sid") ~default:"s0"
-  in
-  let action =
-    Option.value (Runtime.Journal.find_string fields "action") ~default:""
-  in
-  let key = Runtime.Journal.find_string fields "key" in
-  let ok rest = respond srv client (base_response ~id ~status:"ok" rest) in
-  let err msg =
-    respond srv client
-      (base_response ~id ~status:"error"
-         [ ("error", Runtime.Journal.String msg) ])
-  in
-  let op =
-    match action with
-    | "new" ->
-      let vars =
-        match Runtime.Journal.find_int fields "vars" with
-        | Some v when v >= 0 -> v
-        | _ -> 0
-      in
-      Some (Store.New vars)
-    | "new_var" -> Some Store.New_var
-    | "add" ->
-      Some
-        (Store.Add
-           (Option.value
-              (Runtime.Journal.find_string fields "clause")
-              ~default:""))
-    | "solve" ->
-      Some
-        (Store.Solve
-           (Option.value
-              (Runtime.Journal.find_string fields "assumptions")
-              ~default:""))
-    | "close" -> Some Store.Close
-    | _ -> None
-  in
-  match (action, op) with
-  | "info", _ -> (
-    (* Read-only session probe: the loadtest's lost-op detector. *)
-    match Store.info srv.store sid with
-    | Some (vars, clauses) ->
-      ok
-        [
-          ("sid", Runtime.Journal.String sid);
-          ("vars", Runtime.Journal.Int vars);
-          ("clauses", Runtime.Journal.Int clauses);
-        ]
-    | None -> err (Printf.sprintf "session: unknown sid %s" sid))
-  | _, Some op -> (
-    let t0 = Unix.gettimeofday () in
-    let outcome = Store.apply srv.store ?key ~sid op in
-    match outcome.Store.reply with
-    | Error msg -> err msg
-    | Ok rest ->
-      let rest =
-        match op with
-        | Store.Solve _ ->
-          rest
-          @ [
-              ( "latency_ms",
-                Runtime.Journal.Float (1000.0 *. (Unix.gettimeofday () -. t0))
-              );
-            ]
-        | _ -> rest
-      in
-      let rest =
-        if outcome.Store.replayed then
-          rest @ [ ("replayed", Runtime.Journal.Bool true) ]
-        else rest
-      in
-      ok rest)
-  | other, None -> err (Printf.sprintf "session: unknown action %S" other)
-
-let reject srv ~id client =
-  Obs.Metrics.incr m_rejected;
-  let record = base_response ~id ~status:"rejected" [] in
-  respond srv client record;
-  journal_append srv record
-
-let handle_frame srv client payload =
-  Obs.Metrics.incr m_requests;
-  match Runtime.Journal.parse_line payload with
-  | None ->
-    respond srv client
-      (base_response ~id:"" ~status:"error"
-         [ ("error", Runtime.Journal.String "malformed JSON frame") ])
-  | Some fields -> (
-    let id =
-      Option.value (Runtime.Journal.find_string fields "id") ~default:""
-    in
-    let op =
-      Option.value (Runtime.Journal.find_string fields "op") ~default:""
-    in
-    match op with
-    | "ping" -> respond srv client (base_response ~id ~status:"ok" [])
-    | "metrics" -> handle_metrics srv ~id client
-    | _ when srv.draining ->
-      (* Draining: in-flight work finishes, new work is turned away. *)
-      reject srv ~id client
-    | "solve" -> handle_solve srv ~id client fields
-    | "session" -> handle_session srv ~id client fields
-    | other ->
-      respond srv client
-        (base_response ~id ~status:"error"
-           [
-             ( "error",
-               Runtime.Journal.String (Printf.sprintf "unknown op %S" other) );
-           ]))
-
-(* --- event loop --------------------------------------------------------- *)
-
-let service_client srv client =
-  (match Runtime.Frame.read_into client.reader client.fd with
-  | `Eof -> client.alive <- false
-  | `Data | `Blocked -> ());
-  if client.alive then
-    List.iter (handle_frame srv client) (drain_frames client)
-
-(* Graceful drain: the listener is already closed and [draining] set.
-   In-flight workers finish under their own limits (the pool launches
-   nothing new once Shutdown is requested); their responses flow out
-   through on_pool_complete; queued-but-never-launched requests are
-   rejected so no client is left hanging. *)
-let drain_and_exit srv clients =
-  log srv "draining: %d in flight, %d queued"
-    (Runtime.Pool.in_flight srv.pool)
-    (Runtime.Pool.queued srv.pool);
-  let _completions, not_run = Runtime.Pool.drain srv.pool in
-  List.iter
-    (fun pool_id ->
-      match Hashtbl.find_opt srv.pending pool_id with
-      | None -> ()
-      | Some pr ->
-        Hashtbl.remove srv.pending pool_id;
-        reject srv ~id:pr.pr_user_id pr.pr_client)
-    not_run;
-  (* Sync and close the WAL so the final fsync covers every acked op. *)
-  Store.close srv.store;
-  journal_append srv
-    [
-      ("event", Runtime.Journal.String "drained");
-      ( "completed",
-        Runtime.Journal.Int (Obs.Metrics.counter_value m_completed) );
-      ("rejected", Runtime.Journal.Int (Obs.Metrics.counter_value m_rejected));
-      ("shed", Runtime.Journal.Int (Runtime.Pool.shed_count srv.pool));
-    ];
-  List.iter
-    (fun c ->
-      if c.alive then try Unix.close c.fd with Unix.Unix_error _ -> ())
-    !clients;
-  log srv "drained cleanly"
-
-(* Idle-session TTL sweep, time-gated to roughly once a second so the
-   select loop's 50 ms ticks don't rescan the table. *)
-let sweep_idle srv =
-  let now = Unix.gettimeofday () in
-  if now -. srv.last_sweep >= 1.0 then begin
-    srv.last_sweep <- now;
-    let n = Store.evict_idle srv.store in
-    if n > 0 then log srv "evicted %d idle session(s)" n
-  end
-
-(* Group-commit WAL fsyncs are driven from here on every loop tick:
-   appends only sync opportunistically when more traffic arrives, so
-   without this a pause in traffic would strand the last burst of
-   acked ops outside the --wal-group-commit durability window
-   indefinitely. Store.flush itself checks the interval. *)
-let flush_wal srv =
-  match Store.flush srv.store with
-  | Ok () -> ()
-  | Error e -> log srv "wal flush failed: %s" (Runtime.Error.to_string e)
-
-let serve_loop srv ~accept_fd ~initial_clients =
-  let clients = ref initial_clients in
-  let continue = ref true in
-  while !continue do
-    if Runtime.Shutdown.requested () && not srv.draining then begin
-      srv.draining <- true;
-      (match accept_fd with
-      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-    end;
-    let listen_fds =
-      if srv.draining then [] else Option.to_list accept_fd
-    in
-    let client_fds = List.map (fun c -> c.fd) !clients in
-    let worker_fds = [] in
-    let readable, _, _ =
-      try
-        Unix.select (listen_fds @ client_fds @ worker_fds) [] [] 0.05
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    (match accept_fd with
-    | Some lfd when (not srv.draining) && List.mem lfd readable -> (
-      match Unix.accept lfd with
-      | fd, _ ->
-        Unix.set_nonblock fd;
-        clients :=
-          { fd; reader = Runtime.Frame.create_reader (); alive = true }
-          :: !clients
-      | exception Unix.Unix_error _ -> ())
-    | _ -> ());
-    List.iter
-      (fun c -> if List.mem c.fd readable then service_client srv c)
-      !clients;
-    clients :=
-      List.filter
-        (fun c ->
-          if c.alive then true
-          else begin
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end)
-        !clients;
-    Runtime.Pool.pump srv.pool;
-    sweep_idle srv;
-    flush_wal srv;
-    if srv.draining then begin
-      drain_and_exit srv clients;
-      continue := false
-    end
-    else if accept_fd = None && !clients = [] then begin
-      (* stdio mode: EOF on stdin is a polite shutdown request. *)
-      srv.draining <- true;
-      drain_and_exit srv clients;
-      continue := false
-    end
-  done
-
-(* --- startup ------------------------------------------------------------ *)
+    match Core.Model.load_result path model with
+    | Ok Nn.Checkpoint.Primary -> ()
+    | Ok Nn.Checkpoint.Backup ->
+      Printf.eprintf "ns-serve: %s corrupt, using %s\n%!" path
+        (Nn.Checkpoint.backup_path path)
+    | Error e ->
+      Printf.eprintf
+        "ns-serve: cannot load %s (%s); serving untrained weights\n%!" path
+        (Runtime.Error.to_string e))
+  | None -> ());
+  model
 
 let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
     wal wal_group_commit snapshot_every max_sessions session_ttl allow_inject
     adaptive checkpoint verbose =
   Runtime.Shutdown.install ();
-  let selector =
-    if not adaptive then None
-    else begin
-      let model = Core.Model.create Core.Model.paper_config in
-      (match checkpoint with
-      | Some path -> (
-        match Core.Model.load_result path model with
-        | Ok Nn.Checkpoint.Primary -> ()
-        | Ok Nn.Checkpoint.Backup ->
-          Printf.eprintf "ns-serve: %s corrupt, using %s\n%!" path
-            (Nn.Checkpoint.backup_path path)
-        | Error e ->
-          Printf.eprintf
-            "ns-serve: cannot load %s (%s); serving untrained weights\n%!" path
-            (Runtime.Error.to_string e))
-      | None -> ());
-      Some model
-    end
-  in
-  let store_config =
+  let store =
     {
       Store.default_config with
       Store.wal_dir = wal;
@@ -610,106 +39,30 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
       session_ttl;
     }
   in
-  let t_recover = Unix.gettimeofday () in
-  match Store.create store_config with
+  let selector = if adaptive then Some (load_selector checkpoint) else None in
+  let config =
+    {
+      Server.jobs;
+      max_queue;
+      max_retries;
+      deadline;
+      mem_mb;
+      journal;
+      allow_inject;
+      selector;
+      store;
+      verbose;
+    }
+  in
+  match Server.create config with
   | Error e ->
     Printf.eprintf "ns-serve: wal recovery failed: %s\n%!"
       (Runtime.Error.to_string e);
     1
-  | Ok (store, recovery) ->
-  let recovery_s = Unix.gettimeofday () -. t_recover in
-  let srv_ref = ref None in
-  let pool =
-    Runtime.Pool.create ~jobs ~max_queue ~max_retries
-      ~limits:
-        {
-          Runtime.Supervisor.default_limits with
-          Runtime.Supervisor.deadline_seconds = Some ((deadline *. 1.5) +. 1.0);
-          mem_limit_mb = mem_mb;
-        }
-      ~on_complete:(fun c ->
-        match !srv_ref with Some srv -> on_pool_complete srv c | None -> ())
-      ()
-  in
-  let srv =
-    {
-      pool;
-      pending = Hashtbl.create 64;
-      selector;
-      store;
-      wal_enabled = wal <> None;
-      journal;
-      default_deadline = deadline;
-      default_mem_mb = mem_mb;
-      allow_inject;
-      verbose;
-      next_req = 0;
-      draining = false;
-      last_sweep = Unix.gettimeofday ();
-    }
-  in
-  srv_ref := Some srv;
-  if srv.wal_enabled then begin
-    log srv
-      "wal recovery: %d session(s), %d record(s) replayed, snapshot=%b, \
-       truncated=%dB, corrupt_snapshots=%d, restore_errors=%d (%.1f ms)"
-      recovery.Store.sessions recovery.Store.replayed
-      recovery.Store.from_snapshot recovery.Store.truncated_bytes
-      recovery.Store.corrupt_snapshots recovery.Store.restore_errors
-      (1000.0 *. recovery_s);
-    journal_append srv
-      [
-        ("event", Runtime.Journal.String "recovered");
-        ("sessions", Runtime.Journal.Int recovery.Store.sessions);
-        ("replayed", Runtime.Journal.Int recovery.Store.replayed);
-        ("from_snapshot", Runtime.Journal.Bool recovery.Store.from_snapshot);
-        ("truncated_bytes", Runtime.Journal.Int recovery.Store.truncated_bytes);
-        ( "corrupt_snapshots",
-          Runtime.Journal.Int recovery.Store.corrupt_snapshots );
-        ("restore_errors", Runtime.Journal.Int recovery.Store.restore_errors);
-        ("recovery_ms", Runtime.Journal.Float (1000.0 *. recovery_s));
-      ]
-  end;
-  if stdio then begin
-    (* One client: frames arrive on stdin, responses leave on stdout.
-       [reader] buffers and parses inbound frames; [writer] is the
-       client every response targets. *)
-    let writer =
-      { fd = Unix.stdout; reader = Runtime.Frame.create_reader (); alive = true }
-    in
-    let reader =
-      { fd = Unix.stdin; reader = Runtime.Frame.create_reader (); alive = true }
-    in
-    let continue = ref true in
-    while !continue do
-      if Runtime.Shutdown.requested () && not srv.draining then
-        srv.draining <- true;
-      let readable, _, _ =
-        try Unix.select [ Unix.stdin ] [] [] 0.05
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if (not srv.draining) && List.mem Unix.stdin readable then begin
-        match Runtime.Frame.read_into reader.reader Unix.stdin with
-        | `Eof ->
-          (* EOF: a polite shutdown request — drain what was buffered. *)
-          List.iter (handle_frame srv writer) (drain_frames reader);
-          srv.draining <- true;
-          reader.alive <- false
-        | `Data | `Blocked -> ()
-      end;
-      if reader.alive then
-        List.iter (handle_frame srv writer) (drain_frames reader);
-      Runtime.Pool.pump srv.pool;
-      sweep_idle srv;
-      flush_wal srv;
-      if srv.draining then begin
-        drain_and_exit srv (ref []);
-        continue := false
-      end
-    done;
+  | Ok srv when stdio ->
+    Server.serve srv [ (Unix.stdin, Unix.stdout) ];
     0
-  end
-  else begin
+  | Ok srv -> (
     let socket_path =
       match socket with
       | Some s -> s
@@ -724,21 +77,20 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
       1
     | Ok () ->
       if Runtime.Pidlock.sweep_socket socket_path then
-        log srv "swept stale socket %s" socket_path;
+        Server.log srv "swept stale socket %s" socket_path;
       let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind lfd (Unix.ADDR_UNIX socket_path);
       Unix.listen lfd 64;
       Unix.set_nonblock lfd;
-      log srv "listening on %s (pidfile %s, %d jobs, queue %d)" socket_path
-        pidfile jobs max_queue;
+      Server.log srv "listening on %s (pidfile %s, %d jobs, queue %d)"
+        socket_path pidfile jobs max_queue;
+      (* The loop closes the listener when it starts draining. *)
       Fun.protect
         ~finally:(fun () ->
-          (try Unix.close lfd with Unix.Unix_error _ -> ());
           ignore (Runtime.Pidlock.sweep_socket socket_path);
           Runtime.Pidlock.release pidfile)
-        (fun () -> serve_loop srv ~accept_fd:(Some lfd) ~initial_clients:[]);
-      0
-  end
+        (fun () -> Server.serve srv ~listener:lfd []);
+      0)
 
 open Cmdliner
 

@@ -5,7 +5,10 @@
    pure forward needs. This module mirrors the exact same arithmetic on
    plain [Mat.t] buffers drawn from a shape-keyed pool, so a warm
    engine's forward is allocation-light (a handful of list cells and
-   index arrays, no per-op matrices) and runs on the blocked GEMM.
+   index arrays, no per-op matrices) and runs on the blocked GEMM. The
+   pool holds only the last graph shape's buffers: a graph of another
+   size empties it first, so memory stays at one shape's worth instead
+   of growing with every distinct instance a long-lived process sees.
 
    Numerics contract: every kernel accumulates in the same element
    order as its tape counterpart (ascending k in GEMMs, ascending row
@@ -50,6 +53,7 @@ type t = {
   normalize_readout : bool;
   hidden : int;
   pool : pool;
+  mutable shape : int;  (* pool_key num_vars num_clauses of the last graph *)
   mean_scratch : float array;  (* hidden *)
   max_scratch : float array;  (* hidden *)
   kt1_scratch : float array;  (* hidden *)
@@ -68,6 +72,7 @@ let create ~hgts ~head ~normalize_readout =
     normalize_readout;
     hidden;
     pool = Hashtbl.create 32;
+    shape = -1;
     mean_scratch = Array.make hidden 0.0;
     max_scratch = Array.make hidden 0.0;
     kt1_scratch = Array.make hidden 0.0;
@@ -219,6 +224,11 @@ let predict t (g : Bigraph.t) =
     invalid_arg "Infer.predict: graph with no variable nodes";
   let p = t.pool in
   let nv = g.Bigraph.num_vars and nc = g.Bigraph.num_clauses in
+  let shape = pool_key nv nc in
+  if t.shape <> shape then begin
+    Hashtbl.reset p;
+    t.shape <- shape
+  end;
   let var_inv = Bigraph.var_inv_degree g
   and clause_inv = Bigraph.clause_inv_degree g in
   let vf0 = acquire p nv 1 in

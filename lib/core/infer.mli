@@ -2,7 +2,9 @@
 
     Mirrors {!Model.forward_logit}'s arithmetic on plain matrices drawn
     from a shape-keyed buffer pool: no autodiff nodes, no gradient
-    buffers, no backward closures. Every kernel keeps the tape ops'
+    buffers, no backward closures. The pool keeps the buffers of the
+    last graph shape only; a graph with a different
+    [(num_vars, num_clauses)] empties it. Every kernel keeps the tape ops'
     accumulation order, so the engine reproduces the tape prediction to
     well under 1e-9.
 

@@ -1,0 +1,557 @@
+(* The ns-serve request handler and its select loop; the protocol is
+   documented in server.mli. *)
+
+module Store = Session_store
+module J = Runtime.Journal
+
+let m_requests = Obs.Metrics.counter "serve.requests"
+let m_completed = Obs.Metrics.counter "serve.completed"
+let m_failed = Obs.Metrics.counter "serve.failed"
+let m_rejected = Obs.Metrics.counter "serve.rejected"
+let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
+
+(* --- worker-side solve ------------------------------------------------- *)
+
+(* Runs inside the forked supervisor worker: parse, solve under the
+   request's wall budget, and return a flat-JSON payload the parent
+   merges into the response. *)
+let worker_solve ~deadline_s ~inject_marker ~policy dimacs () =
+  (match inject_marker with
+  | Some marker when not (Sys.file_exists marker) ->
+    (* Injected crash for drill scenarios: die on the first attempt,
+       succeed on the retry (the marker outlives this process). *)
+    (try
+       let oc = open_out marker in
+       close_out oc
+     with Sys_error _ -> ());
+    exit 66
+  | _ -> ());
+  match Runtime.Error.protect ~context:"serve.worker" (fun () ->
+      let f = Cnf.Dimacs.parse_string dimacs in
+      let config =
+        Cdcl.Config.with_budget ~max_wall_seconds:deadline_s
+          Cdcl.Config.default
+      in
+      (* The parent's policy selection rides in as the serialized
+         policy name; an unparseable name falls back to the default. *)
+      let config =
+        match Option.bind policy Cdcl.Policy.of_string with
+        | Some p -> Cdcl.Config.with_policy p config
+        | None -> config
+      in
+      let result, stats = Cdcl.Solver.solve_formula ~config f in
+      J.encode
+        [
+          ("verdict", J.String (Store.verdict_name result));
+          ( "model",
+            match result with
+            | Cdcl.Solver.Sat m -> J.String (Store.model_to_string m)
+            | _ -> J.Null );
+          ("conflicts", J.Int stats.Cdcl.Solver_stats.conflicts);
+          ("decisions", J.Int stats.Cdcl.Solver_stats.decisions);
+          ("propagations", J.Int stats.Cdcl.Solver_stats.propagations);
+          ("learned", J.Int stats.Cdcl.Solver_stats.learned_total);
+        ])
+  with
+  | Ok payload -> Ok payload
+  | Error e -> Error (Runtime.Error.to_string e)
+
+(* --- server state ------------------------------------------------------ *)
+
+type config = {
+  jobs : int;
+  max_queue : int;
+  max_retries : int;
+  deadline : float;
+  mem_mb : int option;
+  journal : string option;
+  allow_inject : bool;
+  selector : Core.Model.t option;
+  store : Store.config;
+  verbose : bool;
+}
+
+type pending_req = {
+  pr_reply : J.record -> unit;
+  pr_user_id : string;
+  pr_submitted : float;
+  pr_marker : string option;
+  pr_extra : J.record;
+      (* Parent-side selection fields (policy, cache, probability)
+         merged into the solve response. *)
+}
+
+type t = {
+  config : config;
+  pool : Runtime.Pool.t;
+  pending : (string, pending_req) Hashtbl.t; (* pool id -> request *)
+  store : Store.t;
+  mutable next_req : int;
+  mutable draining : bool;
+  mutable last_sweep : float; (* idle-session TTL sweeps *)
+}
+
+let log t fmt =
+  Printf.ksprintf
+    (fun s -> if t.config.verbose then Printf.eprintf "c [serve] %s\n%!" s)
+    fmt
+
+let degraded () = Core.Selector.breaker_state () = Runtime.Breaker.Open
+
+let journal_append t record =
+  match t.config.journal with
+  | None -> ()
+  | Some path -> (
+    match J.append path record with
+    | Ok () -> ()
+    | Error e -> log t "journal append failed: %s" (Runtime.Error.to_string e))
+
+let base_response ~id ~status rest =
+  ("id", J.String id)
+  :: ("status", J.String status)
+  :: ("degraded", J.Bool (degraded ()))
+  :: rest
+
+let error_response ~id msg =
+  base_response ~id ~status:"error" [ ("error", J.String msg) ]
+
+(* A string request field, "" when absent. *)
+let field fields name = Option.value (J.find_string fields name) ~default:""
+
+(* Completion of a pool-backed solve: merge the worker payload (or the
+   failure) into the response, journal it, and clean up. *)
+let on_pool_complete t (c : Runtime.Pool.completion) =
+  match Hashtbl.find_opt t.pending c.Runtime.Pool.id with
+  | None -> ()
+  | Some pr ->
+    Hashtbl.remove t.pending c.Runtime.Pool.id;
+    (match pr.pr_marker with
+    | Some m when Sys.file_exists m -> ( try Sys.remove m with Sys_error _ -> ())
+    | _ -> ());
+    let latency = Unix.gettimeofday () -. pr.pr_submitted in
+    Obs.Metrics.observe h_latency latency;
+    let tail =
+      [
+        ("attempts", J.Int c.Runtime.Pool.attempts);
+        ("latency_ms", J.Float (1000.0 *. latency));
+      ]
+    in
+    let record =
+      match c.Runtime.Pool.outcome with
+      | Runtime.Pool.Done payload ->
+        Obs.Metrics.incr m_completed;
+        let body =
+          match J.parse_line payload with
+          | Some fields -> fields
+          | None -> [ ("verdict", J.String "unknown") ]
+        in
+        base_response ~id:pr.pr_user_id ~status:"ok"
+          (body @ pr.pr_extra @ tail)
+      | Runtime.Pool.Failed msg ->
+        Obs.Metrics.incr m_failed;
+        error_response ~id:pr.pr_user_id msg @ tail
+      | Runtime.Pool.Shed ->
+        (* 429-style: admission control refused the request. *)
+        base_response ~id:pr.pr_user_id ~status:"shed" tail
+    in
+    pr.pr_reply record;
+    journal_append t record
+
+let create (config : config) =
+  let t_recover = Unix.gettimeofday () in
+  match Store.create config.store with
+  | Error e -> Error e
+  | Ok (store, recovery) ->
+    let recovery_s = Unix.gettimeofday () -. t_recover in
+    let t_ref = ref None in
+    (* No pool-wide limits: every submit carries its request's own. *)
+    let pool =
+      Runtime.Pool.create ~jobs:config.jobs ~max_queue:config.max_queue
+        ~max_retries:config.max_retries
+        ~on_complete:(fun c -> Option.iter (fun t -> on_pool_complete t c) !t_ref)
+        ()
+    in
+    let t =
+      {
+        config;
+        pool;
+        pending = Hashtbl.create 64;
+        store;
+        next_req = 0;
+        draining = false;
+        last_sweep = Unix.gettimeofday ();
+      }
+    in
+    t_ref := Some t;
+    if config.store.Store.wal_dir <> None then begin
+      let record =
+        [
+          ("event", J.String "recovered");
+          ("sessions", J.Int recovery.Store.sessions);
+          ("replayed", J.Int recovery.Store.replayed);
+          ("from_snapshot", J.Bool recovery.Store.from_snapshot);
+          ("truncated_bytes", J.Int recovery.Store.truncated_bytes);
+          ("corrupt_snapshots", J.Int recovery.Store.corrupt_snapshots);
+          ("restore_errors", J.Int recovery.Store.restore_errors);
+          ("recovery_ms", J.Float (1000.0 *. recovery_s));
+        ]
+      in
+      log t "wal recovery: %s" (J.encode record);
+      journal_append t record
+    end;
+    Ok t
+
+(* --- request handling --------------------------------------------------- *)
+
+let handle_metrics t ~id reply =
+  let num name v = (name, J.Int v) in
+  let cs = Core.Selector.cache_stats () in
+  reply
+    (base_response ~id ~status:"ok"
+       [
+         num "requests" (Obs.Metrics.counter_value m_requests);
+         num "cache_hits" cs.Core.Selector.hits;
+         num "cache_misses" cs.Core.Selector.misses;
+         num "cache_evictions" cs.Core.Selector.evictions;
+         num "cache_size" cs.Core.Selector.size;
+         num "completed" (Obs.Metrics.counter_value m_completed);
+         num "failed" (Obs.Metrics.counter_value m_failed);
+         num "rejected" (Obs.Metrics.counter_value m_rejected);
+         num "shed" (Runtime.Pool.shed_count t.pool);
+         num "worker_retries"
+           (Obs.Metrics.counter_value
+              (Obs.Metrics.counter "runtime.pool.worker_retries"));
+         num "in_flight" (Runtime.Pool.in_flight t.pool);
+         num "queued" (Runtime.Pool.queued t.pool);
+         num "sessions" (Store.session_count t.store);
+         num "evicted" (Store.evictions t.store);
+         num "snapshot_failures" (Store.snapshot_failures t.store);
+         ("wal", J.Bool (t.config.store.Store.wal_dir <> None));
+         ( "breaker",
+           J.String
+             (Runtime.Breaker.state_name (Core.Selector.breaker_state ())) );
+         ("draining", J.Bool t.draining);
+       ])
+
+let handle_solve t ~id reply fields =
+  match J.find_string fields "dimacs" with
+  | None -> reply (error_response ~id "solve: missing dimacs field")
+  | Some dimacs ->
+    let deadline_s =
+      match J.find_float fields "deadline_s" with
+      | Some d when d > 0.0 && Float.is_finite d -> d
+      | _ -> t.config.deadline
+    in
+    let mem_mb =
+      match J.find_int fields "mem_mb" with
+      | Some m when m > 0 -> Some m
+      | _ -> t.config.mem_mb
+    in
+    let inject_marker =
+      match J.find_string fields "inject" with
+      | Some "crash_once" when t.config.allow_inject ->
+        Some
+          (Filename.concat
+             (Filename.get_temp_dir_name ())
+             (Printf.sprintf "ns-serve-inject-%d-%d" (Unix.getpid ())
+                t.next_req))
+      | _ -> None
+    in
+    (* With a selector: select the deletion policy in the parent,
+       through the fingerprint-keyed decision cache, and ship the
+       chosen policy's name to the worker. A repeated instance costs a
+       cache lookup instead of a model forward. *)
+    let policy, extra =
+      match t.config.selector with
+      | None -> (None, [])
+      | Some model -> (
+        match Cnf.Dimacs.parse_string dimacs with
+        | exception _ -> (None, [])
+        | formula ->
+          let t0 = Unix.gettimeofday () in
+          let s = Core.Selector.select_policy ~use_cache:true model formula in
+          let selection_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+          let extra =
+            [
+              ("policy", J.String (Cdcl.Policy.name s.Core.Selector.policy));
+              ( "cache",
+                J.String (if s.Core.Selector.cached then "hit" else "miss") );
+              ("selection_ms", J.Float selection_ms);
+            ]
+          in
+          let extra =
+            if Float.is_finite s.Core.Selector.probability then
+              extra @ [ ("probability", J.Float s.Core.Selector.probability) ]
+            else extra
+          in
+          (Some (Cdcl.Policy.name s.Core.Selector.policy), extra))
+    in
+    let pool_id = Printf.sprintf "r%d" t.next_req in
+    t.next_req <- t.next_req + 1;
+    Hashtbl.replace t.pending pool_id
+      {
+        pr_reply = reply;
+        pr_user_id = id;
+        pr_submitted = Unix.gettimeofday ();
+        pr_marker = inject_marker;
+        pr_extra = extra;
+      };
+    let limits =
+      {
+        Runtime.Supervisor.default_limits with
+        Runtime.Supervisor.mem_limit_mb = mem_mb;
+        (* The solver budget returns Unknown at [deadline_s]; the
+           supervisor deadline is the backstop for a worker that fails
+           to honour it. *)
+        deadline_seconds = Some ((deadline_s *. 1.5) +. 1.0);
+      }
+    in
+    (* Shed submissions complete synchronously through on_pool_complete. *)
+    ignore
+      (Runtime.Pool.submit t.pool ~limits ~id:pool_id
+         (worker_solve ~deadline_s ~inject_marker ~policy dimacs))
+
+(* Incremental sessions run in-process through the durable
+   Session_store; solver budgets (not supervisor deadlines) bound their
+   solve steps, so a session solve stalls the event loop for at most
+   the deadline. With a WAL, Session_store appends every mutating op to
+   the log before this handler acks it. *)
+let handle_session t ~id reply fields =
+  let sid = Option.value (J.find_string fields "sid") ~default:"s0" in
+  let action = field fields "action" in
+  let key = J.find_string fields "key" in
+  let ok rest = reply (base_response ~id ~status:"ok" rest) in
+  let err msg = reply (error_response ~id msg) in
+  let op =
+    match action with
+    | "new" ->
+      let vars =
+        match J.find_int fields "vars" with Some v when v >= 0 -> v | _ -> 0
+      in
+      Some (Store.New vars)
+    | "new_var" -> Some Store.New_var
+    | "add" -> Some (Store.Add (field fields "clause"))
+    | "solve" -> Some (Store.Solve (field fields "assumptions"))
+    | "close" -> Some Store.Close
+    | _ -> None
+  in
+  match (action, op) with
+  | "info", _ -> (
+    (* Read-only session probe: the loadtest's lost-op detector. *)
+    match Store.info t.store sid with
+    | Some (vars, clauses) ->
+      ok
+        [
+          ("sid", J.String sid);
+          ("vars", J.Int vars);
+          ("clauses", J.Int clauses);
+        ]
+    | None -> err (Printf.sprintf "session: unknown sid %s" sid))
+  | _, Some op -> (
+    let t0 = Unix.gettimeofday () in
+    let outcome = Store.apply t.store ?key ~sid op in
+    match outcome.Store.reply with
+    | Error msg -> err msg
+    | Ok rest ->
+      let rest =
+        match op with
+        | Store.Solve _ ->
+          rest
+          @ [
+              ("latency_ms", J.Float (1000.0 *. (Unix.gettimeofday () -. t0)));
+            ]
+        | _ -> rest
+      in
+      let rest =
+        if outcome.Store.replayed then
+          rest @ [ ("replayed", J.Bool true) ]
+        else rest
+      in
+      ok rest)
+  | other, None -> err (Printf.sprintf "session: unknown action %S" other)
+
+let reject t ~id reply =
+  Obs.Metrics.incr m_rejected;
+  let record = base_response ~id ~status:"rejected" [] in
+  reply record;
+  journal_append t record
+
+let handle t ~reply payload =
+  Obs.Metrics.incr m_requests;
+  match J.parse_line payload with
+  | None -> reply (error_response ~id:"" "malformed JSON frame")
+  | Some fields -> (
+    let id = field fields "id" in
+    match field fields "op" with
+    | "ping" -> reply (base_response ~id ~status:"ok" [])
+    | "metrics" -> handle_metrics t ~id reply
+    | _ when t.draining ->
+      (* Draining: in-flight work finishes, new work is turned away. *)
+      reject t ~id reply
+    | "solve" -> handle_solve t ~id reply fields
+    | "session" -> handle_session t ~id reply fields
+    | other -> reply (error_response ~id (Printf.sprintf "unknown op %S" other)))
+
+(* --- housekeeping and drain ---------------------------------------------- *)
+
+(* One loop tick's housekeeping after pool scheduling. The idle-session
+   TTL sweep is time-gated to roughly once a second so 50 ms ticks
+   don't rescan the table. Group-commit WAL fsyncs are driven from
+   every tick: appends only sync opportunistically when more traffic
+   arrives, so without this a pause in traffic would strand the last
+   burst of acked ops outside the --wal-group-commit durability window
+   indefinitely. Store.flush itself checks the interval. *)
+let pump t =
+  Runtime.Pool.pump t.pool;
+  let now = Unix.gettimeofday () in
+  if now -. t.last_sweep >= 1.0 then begin
+    t.last_sweep <- now;
+    let n = Store.evict_idle t.store in
+    if n > 0 then log t "evicted %d idle session(s)" n
+  end;
+  match Store.flush t.store with
+  | Ok () -> ()
+  | Error e -> log t "wal flush failed: %s" (Runtime.Error.to_string e)
+
+(* In-flight workers finish under their own limits (the pool launches
+   nothing new once Shutdown is requested); their responses flow out
+   through on_pool_complete; queued-but-never-launched requests are
+   rejected so no client is left hanging. *)
+let drain t =
+  t.draining <- true;
+  log t "draining: %d in flight, %d queued"
+    (Runtime.Pool.in_flight t.pool)
+    (Runtime.Pool.queued t.pool);
+  let _completions, not_run = Runtime.Pool.drain t.pool in
+  List.iter
+    (fun pool_id ->
+      match Hashtbl.find_opt t.pending pool_id with
+      | None -> ()
+      | Some pr ->
+        Hashtbl.remove t.pending pool_id;
+        reject t ~id:pr.pr_user_id pr.pr_reply)
+    not_run;
+  (* Sync and close the WAL so the final fsync covers every acked op. *)
+  Store.close t.store;
+  journal_append t
+    [
+      ("event", J.String "drained");
+      ("completed", J.Int (Obs.Metrics.counter_value m_completed));
+      ("rejected", J.Int (Obs.Metrics.counter_value m_rejected));
+      ("shed", J.Int (Runtime.Pool.shed_count t.pool));
+    ];
+  log t "drained cleanly"
+
+(* --- event loop --------------------------------------------------------- *)
+
+(* A client reads frames from [input] and is answered on [output]: one
+   socket for a connection, stdin and stdout for the stdio pair. *)
+type client = {
+  input : Unix.file_descr;
+  output : Unix.file_descr;
+  reader : Runtime.Frame.reader;
+  mutable reading : bool; (* input not at EOF *)
+  mutable writable : bool; (* no write has failed *)
+  mutable awaiting : int; (* frames read but not yet answered *)
+}
+
+let new_client input output =
+  {
+    input;
+    output;
+    reader = Runtime.Frame.create_reader ();
+    reading = true;
+    writable = true;
+    awaiting = 0;
+  }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let close_client c =
+  close_quietly c.input;
+  if c.output <> c.input then close_quietly c.output
+
+(* Long enough for a reading client to take a socket buffer's worth of
+   a large reply; short enough that one that stopped reading stalls the
+   loop only briefly before it is dropped. *)
+let send_timeout_s = 5.0
+
+(* A failed write (EPIPE from a peer that shut its read side, or the
+   send timeout) drops the client; replies still owed to it are
+   discarded, so none reaches a closed or reused descriptor. *)
+let reply_to t c record =
+  c.awaiting <- c.awaiting - 1;
+  if c.writable then
+    try Runtime.Frame.write c.output (J.encode record)
+    with Unix.Unix_error _ ->
+      c.writable <- false;
+      log t "client write failed; dropping connection"
+
+(* A malformed length prefix ends the input like EOF does. *)
+let read_client t c =
+  (match Runtime.Frame.read_into c.reader c.input with
+  | `Eof -> c.reading <- false
+  | `Data | `Blocked -> ());
+  let rec frames () =
+    if c.writable then
+      match Runtime.Frame.next c.reader with
+      | Some payload ->
+        c.awaiting <- c.awaiting + 1;
+        handle t ~reply:(reply_to t c) payload;
+        frames ()
+      | None -> ()
+  in
+  frames ();
+  if Runtime.Frame.malformed c.reader then c.reading <- false
+
+let accept listener =
+  match Unix.accept listener with
+  | fd, _ ->
+    (* BSD accept inherits the listener's O_NONBLOCK; Linux does not. *)
+    Unix.clear_nonblock fd;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s;
+    Some (new_client fd fd)
+  | exception Unix.Unix_error _ -> None
+
+let serve t ?listener initial =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let listener = ref listener in
+  let clients = ref (List.map (fun (i, o) -> new_client i o) initial) in
+  let stop = ref false in
+  while not !stop do
+    if Runtime.Shutdown.requested () && not t.draining then begin
+      t.draining <- true;
+      Option.iter close_quietly !listener;
+      listener := None
+    end;
+    let reading = List.filter (fun c -> c.reading) !clients in
+    let readable, _, _ =
+      try
+        Unix.select
+          (Option.to_list !listener @ List.map (fun c -> c.input) reading)
+          [] [] 0.05
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    (match !listener with
+    | Some l when List.mem l readable ->
+      Option.iter (fun c -> clients := c :: !clients) (accept l)
+    | _ -> ());
+    List.iter
+      (fun c -> if List.mem c.input readable then read_client t c)
+      reading;
+    pump t;
+    clients :=
+      List.filter
+        (fun c ->
+          if c.writable && (c.reading || c.awaiting > 0) then true
+          else begin
+            close_client c;
+            false
+          end)
+        !clients;
+    stop :=
+      t.draining
+      || (!listener = None && not (List.exists (fun c -> c.reading) !clients))
+  done;
+  drain t;
+  List.iter close_client !clients

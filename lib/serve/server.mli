@@ -1,0 +1,81 @@
+(** The ns-serve request handler and its event loop.
+
+    Speaks a length-prefixed JSON protocol ({!Runtime.Frame}: decimal
+    byte count, newline, one flat JSON object in the {!Runtime.Journal}
+    codec). One-shot solves are multiplexed onto a {!Runtime.Pool} of
+    supervised worker processes with per-request wall deadlines and
+    RLIMIT_AS caps; a bounded queue sheds excess load with 429-style
+    responses instead of building backlog, and crashed workers are
+    retried with backoff. Incremental sessions run in-process through
+    {!Session_store}.
+
+    Requests (one JSON object per frame):
+    {v
+      {"op":"ping","id":..}
+      {"op":"metrics","id":..}            server-level snapshot
+      {"op":"solve","id":..,"dimacs":..,
+       "deadline_s":..,"mem_mb":..}       pool-backed one-shot solve
+      {"op":"session","id":..,
+       "action":"new|add|new_var|solve|close|info",
+       "sid":..,"vars":..,"clause":"1 -2 0","assumptions":"1 -2",
+       "key":"client idempotency key"}
+    v}
+
+    Responses echo "id", carry "status" ("ok" | "error" | "shed" |
+    "rejected") and the inference-breaker "degraded" flag; solves add
+    the verdict, model, solver statistics, attempt count and latency,
+    and with a [selector] the chosen "policy", "cache" ("hit" | "miss"),
+    "selection_ms" and "probability". A session request whose "key"
+    already executed returns the cached reply with "replayed":true. *)
+
+type config = {
+  jobs : int;  (** Concurrent solver workers. *)
+  max_queue : int;  (** Waiting solves beyond this are shed. *)
+  max_retries : int;  (** Extra attempts for crashed/hung/timed-out workers. *)
+  deadline : float;  (** Default per-request wall deadline (s). *)
+  mem_mb : int option;  (** Default per-worker RLIMIT_AS cap. *)
+  journal : string option;  (** One JSONL record per finished request. *)
+  allow_inject : bool;  (** Honour inject:"crash_once" (drills only). *)
+  selector : Core.Model.t option;
+      (** Select each solve's deletion policy in the parent, through
+          the fingerprint-keyed decision cache. *)
+  store : Session_store.config;
+  verbose : bool;  (** Log to stderr. *)
+}
+
+type t
+
+val create : config -> (t, Runtime.Error.t) result
+(** Open the session store (WAL recovery is journaled as a "recovered"
+    event) and the worker pool. *)
+
+val log : t -> ('a, unit, string, unit) format4 -> 'a
+(** A [c [serve]] line on stderr when [verbose]. *)
+
+val handle : t -> reply:(Runtime.Journal.record -> unit) -> string -> unit
+(** Answer one frame payload. [reply] is called exactly once per
+    frame: at once, except for an accepted pool solve, which is
+    answered from a later {!pump} or from {!drain}. *)
+
+val pump : t -> unit
+(** One non-blocking step: pool scheduling (answering finished solves),
+    the idle-session sweep and the WAL group-commit flush. *)
+
+val drain : t -> unit
+(** Graceful stop: answer in-flight solves as they finish, answer
+    queued ones [rejected] after a {!Runtime.Shutdown} request (without
+    one the queue runs to completion), close the store and journal a
+    "drained" event. Every later request is [rejected]. *)
+
+val serve : t -> ?listener:Unix.file_descr -> (Unix.file_descr * Unix.file_descr) list -> unit
+(** The select loop, on a 50 ms tick. Each client is an
+    [(input, output)] pair: the given ones (the stdio pair) plus one
+    socket per connection accepted on [listener]. Accepted sockets stay
+    blocking with a fixed send timeout, so a reply goes out whole or
+    its client is dropped; SIGPIPE is ignored, so a peer that stops
+    reading costs only its own connection. EOF (or a malformed length
+    prefix) on a client's input stops reading it; the replies it is
+    owed still go out before it is closed. On a {!Runtime.Shutdown}
+    request the loop closes [listener] and rejects what still arrives;
+    on that, or once no listener and no reading client remain, it
+    {!drain}s, closes every client and returns. *)

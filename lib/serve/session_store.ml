@@ -20,7 +20,7 @@ module Journal = Runtime.Journal
 module Wal = Runtime.Wal
 module Error = Runtime.Error
 
-(* --- wire helpers (shared with bin/serve.ml) --------------------------- *)
+(* --- wire helpers (shared with Server) ---------------------------------- *)
 
 (* Clause / assumption strings may arrive with embedded newlines or
    tabs (legal through the wire protocol's JSON escapes); normalising

@@ -114,7 +114,7 @@ val close : t -> unit
 (** Sync and close the WAL. The in-memory table remains usable but no
     longer durable; meant for process shutdown. *)
 
-(** {1 Wire-format helpers} (shared with bin/serve.ml) *)
+(** {1 Wire-format helpers} (shared with {!Server}) *)
 
 val lits_of_string : string -> Cnf.Lit.t list
 (** Whitespace-separated DIMACS literals (newlines and tabs count as

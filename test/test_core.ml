@@ -504,6 +504,32 @@ let test_engine_allocation_light () =
     true
     (fast < tape /. 20.0)
 
+(* A long-lived selector meets a new graph shape on almost every
+   instance. The engine's buffer pool keeps the last shape only, so
+   the live heap after 30 distinct shapes stays near one shape's worth
+   (a pool that never evicts retains about 23 MB here). *)
+let test_engine_pool_bounded () =
+  let model = Core.Model.create Core.Model.paper_config in
+  let graph i =
+    Bigraph.of_formula
+      (Gen.Ksat.near_threshold (Util.Rng.create (900 + i))
+         ~num_vars:(40 + (7 * i)))
+  in
+  let live_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+    /. 1048576.0
+  in
+  ignore (Core.Model.predict model (graph 0));
+  let before = live_mb () in
+  for i = 0 to 29 do
+    ignore (Core.Model.predict model (graph i))
+  done;
+  let grown = live_mb () -. before in
+  ignore (Sys.opaque_identity model);
+  checkb (Printf.sprintf "live heap grew %.1f MB over 30 shapes" grown) true
+    (grown < 4.0)
+
 (* --- selector decision cache -------------------------------------------- *)
 
 let test_selector_cache_hit_and_stats () =
@@ -602,6 +628,7 @@ let suite =
       Alcotest.test_case "engine matches tape" `Quick test_engine_matches_tape;
       Alcotest.test_case "engine allocation-light" `Quick
         test_engine_allocation_light;
+      Alcotest.test_case "engine pool bounded" `Quick test_engine_pool_bounded;
       Alcotest.test_case "selector cache hit/miss/stats" `Quick
         test_selector_cache_hit_and_stats;
       Alcotest.test_case "selector cache invalidated by load" `Quick

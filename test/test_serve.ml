@@ -1,6 +1,7 @@
-(* Tests for the durable session store behind ns-serve: WAL-backed
-   recovery, idempotency-key dedup, the session-table cap, and TTL
-   eviction. *)
+(* Tests for ns-serve's library: the durable session store (WAL-backed
+   recovery, idempotency-key dedup, the session-table cap, TTL
+   eviction), the request handler driven in process through a reply
+   callback, and the select loop over real sockets. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -193,6 +194,327 @@ let test_ttl_eviction_survives_recovery () =
         (Store.info t2 "old" = None);
       Store.close t2)
 
+(* --- the request handler, in process ------------------------------------ *)
+
+module Server = Nserve.Server
+module J = Runtime.Journal
+
+let server_config =
+  {
+    Server.jobs = 1;
+    max_queue = 8;
+    max_retries = 2;
+    deadline = 10.0;
+    mem_mb = Some 1024;
+    journal = None;
+    allow_inject = false;
+    selector = None;
+    store = Store.default_config;
+    verbose = false;
+  }
+
+let create_server config =
+  match Server.create config with
+  | Ok srv -> srv
+  | Error e -> Alcotest.failf "Server.create: %s" (Runtime.Error.to_string e)
+
+let checks what expected got =
+  Alcotest.(check (option string)) what (Some expected) got
+
+(* One frame answered at once: its single reply. *)
+let request_raw srv payload =
+  let replies = ref [] in
+  Server.handle srv ~reply:(fun r -> replies := r :: !replies) payload;
+  match !replies with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "%d replies to one request" (List.length rs)
+
+let request srv fields = request_raw srv (J.encode fields)
+
+(* A pool-backed request: answered only once the pool is pumped. *)
+let request_pumped srv fields =
+  let reply = ref None in
+  Server.handle srv ~reply:(fun r -> reply := Some r) (J.encode fields);
+  checkb "not answered before pumping" true (!reply = None);
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while !reply = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005;
+    Server.pump srv
+  done;
+  match !reply with
+  | Some r -> r
+  | None -> Alcotest.fail "pool solve never answered"
+
+let status r = J.find_string r "status"
+let op name = ("op", J.String name)
+let id v = ("id", J.String v)
+
+let session ?(sid = "s") action rest =
+  op "session" :: ("action", J.String action) :: ("sid", J.String sid) :: rest
+
+let test_server_ping_and_metrics () =
+  let srv = create_server server_config in
+  let r = request srv [ op "ping"; id "p1" ] in
+  checks "ping ok" "ok" (status r);
+  checks "id echoed" "p1" (J.find_string r "id");
+  let m = request srv [ op "metrics"; id "m" ] in
+  Alcotest.(check (list string))
+    "metrics field set"
+    [
+      "id"; "status"; "degraded"; "requests"; "cache_hits"; "cache_misses";
+      "cache_evictions"; "cache_size"; "completed"; "failed"; "rejected";
+      "shed"; "worker_retries"; "in_flight"; "queued"; "sessions"; "evicted";
+      "snapshot_failures"; "wal"; "breaker"; "draining";
+    ]
+    (List.map fst m);
+  checkb "not draining" true (J.find_bool m "draining" = Some false)
+
+let test_server_errors () =
+  let srv = create_server server_config in
+  let malformed = request_raw srv "{\"op\": \"ping\"" in
+  checks "malformed JSON is an error" "error" (status malformed);
+  checks "malformed JSON has an empty id" "" (J.find_string malformed "id");
+  checks "unknown op" "error" (status (request srv [ op "frobnicate"; id "u" ]));
+  checks "unknown session action" "error"
+    (status (request srv (session "explode" [])));
+  checks "solve without dimacs" "error" (status (request srv [ op "solve" ]));
+  let info = request srv (session ~sid:"nope" "info" []) in
+  checks "info on an unknown sid" "error" (status info);
+  checks "names the sid" "session: unknown sid nope" (J.find_string info "error")
+
+let test_server_sessions () =
+  let srv = create_server server_config in
+  checks "new" "ok" (status (request srv (session "new" [ ("vars", J.Int 2) ])));
+  checks "add" "ok"
+    (status (request srv (session "add" [ ("clause", J.String "1 2 0") ])));
+  let keyed = session "add" [ ("clause", J.String "-1 0"); ("key", J.String "k1") ] in
+  let first = request srv keyed in
+  checks "keyed add" "ok" (status first);
+  checkb "first keyed add executes" true (J.find_bool first "replayed" = None);
+  let again = request srv keyed in
+  checkb "repeated key is replayed" true (J.find_bool again "replayed" = Some true);
+  let solved = request srv (session "solve" []) in
+  checks "session solve" "sat" (J.find_string solved "verdict");
+  checkb "session solve latency" true (J.find_float solved "latency_ms" <> None);
+  let info = request srv (session "info" []) in
+  checkb "replayed add ran once" true (J.find_int info "clauses" = Some 2)
+
+let test_server_pool_solve () =
+  let srv = create_server server_config in
+  let r =
+    request_pumped srv
+      [ op "solve"; id "q"; ("dimacs", J.String "p cnf 2 2\n1 2 0\n-1 0\n") ]
+  in
+  checks "solve ok" "ok" (status r);
+  checks "verdict" "sat" (J.find_string r "verdict");
+  checks "model" "-1 2" (J.find_string r "model");
+  checkb "one attempt" true (J.find_int r "attempts" = Some 1);
+  checkb "latency reported" true (J.find_float r "latency_ms" <> None);
+  checkb "no selection without a selector" true (J.find_string r "cache" = None)
+
+let test_server_drain_rejects () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "serve.jsonl" in
+      let srv = create_server { server_config with Server.journal = Some journal } in
+      Server.drain srv;
+      let r = request srv (session "new" [ id "late"; ("vars", J.Int 1) ]) in
+      checks "request while draining" "rejected" (status r);
+      checks "ping still answered" "ok" (status (request srv [ op "ping" ]));
+      match J.load journal with
+      | Error e -> Alcotest.failf "journal: %s" (Runtime.Error.to_string e)
+      | Ok (records, _) ->
+        checkb "drained event journaled" true
+          (List.exists (fun r -> J.find_string r "event" = Some "drained") records);
+        checkb "rejection journaled" true
+          (List.exists
+             (fun r ->
+               J.find_string r "id" = Some "late"
+               && J.find_string r "status" = Some "rejected")
+             records))
+
+let test_server_selector_cache () =
+  Core.Selector.clear_cache ();
+  Core.Selector.reset_breaker ();
+  let selector = Some (Core.Model.create Core.Model.paper_config) in
+  let srv = create_server { server_config with Server.selector } in
+  let solve dimacs = request_pumped srv [ op "solve"; ("dimacs", J.String dimacs) ] in
+  let cold = solve "p cnf 4 5\n1 -2 0\n2 3 0\n-1 -3 4 0\n-4 1 0\n2 -3 0\n" in
+  let warm = solve "p cnf 4 5\n2 -3 0\n-4 1 0\n2 3 0\n-1 -3 4 0\n1 -2 0\n" in
+  checks "first solve misses" "miss" (J.find_string cold "cache");
+  checks "clause-shuffled copy hits" "hit" (J.find_string warm "cache");
+  List.iter
+    (fun r ->
+      checks "solved" "ok" (status r);
+      checkb "policy" true (J.find_string r "policy" <> None);
+      checkb "selection_ms" true (J.find_float r "selection_ms" <> None);
+      checkb "probability" true (J.find_float r "probability" <> None))
+    [ cold; warm ]
+
+(* --- the select loop over real sockets ----------------------------------- *)
+
+type conn = { fd : Unix.file_descr; reader : Runtime.Frame.reader }
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  { fd; reader = Runtime.Frame.create_reader () }
+
+(* Send a request and wait for the next reply frame; [None] when the
+   server closed the connection or went silent. *)
+let rpc ?(timeout = 30.0) c fields =
+  match Runtime.Frame.write c.fd (J.encode fields) with
+  | exception Unix.Unix_error _ -> None
+  | () ->
+    let deadline = Unix.gettimeofday () +. timeout in
+    let rec wait () =
+      match Runtime.Frame.next c.reader with
+      | Some payload -> Some payload
+      | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then None
+        else
+          match Unix.select [ c.fd ] [] [] left with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+          | [], _, _ -> None
+          | _ -> (
+            match Runtime.Frame.read_into c.reader c.fd with
+            | `Eof -> None
+            | `Data | `Blocked -> wait ()))
+    in
+    wait ()
+
+let rpc_fields c fields = Option.bind (rpc c fields) J.parse_line
+
+(* Serve a fresh listening socket from a forked child, run [f] on its
+   path as the client side, then SIGTERM the child: returns how it
+   ended (the drain contract says exit 0). *)
+let with_served_socket f =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "serve.sock" in
+      let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind lfd (Unix.ADDR_UNIX path);
+      Unix.listen lfd 8;
+      Unix.set_nonblock lfd;
+      match Unix.fork () with
+      | 0 ->
+        let code =
+          try
+            Runtime.Shutdown.reset ();
+            Runtime.Shutdown.install ();
+            Server.serve (create_server server_config) ~listener:lfd [];
+            0
+          with _ -> 2
+        in
+        Unix._exit code
+      | pid ->
+        Unix.close lfd;
+        (* A dead server must fail the test, not kill the test runner. *)
+        let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+        let reaped = ref false in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.set_signal Sys.sigpipe sigpipe;
+            if not !reaped then begin
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] pid)
+            end)
+          (fun () ->
+            f path;
+            Unix.kill pid Sys.sigterm;
+            let _, st = Unix.waitpid [] pid in
+            reaped := true;
+            st))
+
+(* EOF on a client's input stops reading it, not answering it: a
+   half-closed client still gets every reply it is owed, and then the
+   loop, with no listener and no reading client left, drains and
+   returns (the stdio server's exit path). *)
+let test_server_answers_after_eof () =
+  let srv = create_server server_config in
+  let server_end, client_end =
+    Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  List.iter
+    (fun fields -> Runtime.Frame.write client_end (J.encode fields))
+    [
+      [ op "ping"; id "a" ];
+      [ op "solve"; id "b"; ("dimacs", J.String "p cnf 1 1\n1 0\n") ];
+    ];
+  Unix.shutdown client_end Unix.SHUTDOWN_SEND;
+  Server.serve srv [ (server_end, server_end) ];
+  let reader = Runtime.Frame.create_reader () in
+  while Runtime.Frame.read_into reader client_end <> `Eof do
+    ()
+  done;
+  Unix.close client_end;
+  let rec ids acc =
+    match Runtime.Frame.next reader with
+    | Some payload ->
+      ids (Option.bind (J.parse_line payload) (fun r -> J.find_string r "id") :: acc)
+    | None -> List.rev acc
+  in
+  Alcotest.(check (list (option string)))
+    "both requests answered" [ Some "a"; Some "b" ] (ids [])
+
+(* A client that sends a solve and then shuts down its read side turns
+   the reply's write into EPIPE. The server must drop that client only:
+   without SIGPIPE ignored it dies on the write. *)
+let test_server_survives_peer_that_stops_reading () =
+  let exit_status =
+    with_served_socket (fun path ->
+        let stalled = connect path in
+        Runtime.Frame.write stalled.fd
+          (J.encode [ op "solve"; ("dimacs", J.String "p cnf 2 1\n1 2 0\n") ]);
+        Unix.shutdown stalled.fd Unix.SHUTDOWN_RECEIVE;
+        (* The stalled request was read before this client's first one,
+           so an idle pool means its reply has been written. *)
+        let probe = connect path in
+        let rec settle tries =
+          match rpc_fields probe [ op "metrics" ] with
+          | None -> Alcotest.fail "server stopped answering"
+          | Some m
+            when J.find_int m "in_flight" = Some 0
+                 && J.find_int m "queued" = Some 0 -> ()
+          | Some _ when tries > 0 ->
+            Unix.sleepf 0.02;
+            settle (tries - 1)
+          | Some _ -> Alcotest.fail "stalled client's solve never finished"
+        in
+        settle 1500;
+        let fresh = connect path in
+        let pong = rpc_fields fresh [ op "ping"; id "after" ] in
+        checkb "a fresh client's ping is answered" true
+          (Option.bind pong status = Some "ok");
+        List.iter (fun c -> Unix.close c.fd) [ stalled; probe; fresh ])
+  in
+  checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
+
+(* A reply much larger than the socket buffer must reach a reading
+   peer whole: a non-blocking socket tears it at the first EAGAIN. *)
+let test_server_large_reply_whole () =
+  let vars = 700_000 in
+  let exit_status =
+    with_served_socket (fun path ->
+        let c = connect path in
+        checkb "new session" true
+          (Option.bind (rpc_fields c (session "new" [ ("vars", J.Int vars) ])) status
+          = Some "ok");
+        match rpc c (session "solve" []) with
+        | None -> Alcotest.fail "large reply torn or missing"
+        | Some payload -> (
+          checkb
+            (Printf.sprintf "reply of %d bytes is over 4 MB" (String.length payload))
+            true
+            (String.length payload > 4_000_000);
+          Unix.close c.fd;
+          match Option.bind (J.parse_line payload) (fun r -> J.find_string r "model") with
+          | None -> Alcotest.fail "reply has no model"
+          | Some model ->
+            checki "every variable in the model" vars
+              (List.length (String.split_on_char ' ' model))))
+  in
+  checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
+
 let suite =
   [
     Alcotest.test_case "volatile session lifecycle" `Quick
@@ -206,4 +528,18 @@ let suite =
     Alcotest.test_case "max-sessions cap" `Quick test_max_sessions_cap;
     Alcotest.test_case "ttl eviction survives recovery" `Quick
       test_ttl_eviction_survives_recovery;
+    Alcotest.test_case "server ping and metrics" `Quick
+      test_server_ping_and_metrics;
+    Alcotest.test_case "server error replies" `Quick test_server_errors;
+    Alcotest.test_case "server sessions and keys" `Quick test_server_sessions;
+    Alcotest.test_case "server pool solve" `Quick test_server_pool_solve;
+    Alcotest.test_case "server drain rejects" `Quick test_server_drain_rejects;
+    Alcotest.test_case "server selector cache" `Quick
+      test_server_selector_cache;
+    Alcotest.test_case "server answers after eof" `Quick
+      test_server_answers_after_eof;
+    Alcotest.test_case "server survives peer that stops reading" `Quick
+      test_server_survives_peer_that_stops_reading;
+    Alcotest.test_case "server large reply whole" `Quick
+      test_server_large_reply_whole;
   ]
