@@ -99,8 +99,9 @@ let faults =
          ~doc:"Run the seeded fault-injection suite instead of fuzzing: torn \
                and bit-flipped checkpoint writes, poisoned gradients, failing \
                inference, crashing instances, journal-based campaign resume, \
-               SIGKILLed/OOM/hung supervised workers, circuit-breaker trip \
-               and recovery, and parallel-vs-sequential journal equivalence \
+               SIGKILLed/OOM/hung supervised workers, an aborted \
+               inprocessing pass, parallel-vs-sequential journal \
+               equivalence, and torn or crashed WAL appends and snapshots \
                — each must recover via its documented path.")
 
 let diff_ref =

@@ -1,6 +1,5 @@
 let m_selections = Obs.Metrics.counter "selector.selections"
 let m_fallbacks = Obs.Metrics.counter "selector.fallbacks"
-let m_breaker_rejections = Obs.Metrics.counter "selector.breaker_open_rejections"
 let m_chose_frequency = Obs.Metrics.counter "selector.chose_frequency"
 let h_inference = Obs.Metrics.histogram "selector.inference_seconds"
 let m_cache_hits = Obs.Metrics.counter "selector.cache_hits"
@@ -10,13 +9,11 @@ let m_cache_evictions = Obs.Metrics.counter "selector.cache_evictions"
 type degradation =
   | Model_failure of string
   | Non_finite_probability of float
-  | Breaker_open
 
 let pp_degradation ppf = function
   | Model_failure msg -> Format.fprintf ppf "model failure: %s" msg
   | Non_finite_probability p ->
     Format.fprintf ppf "non-finite probability %h" p
-  | Breaker_open -> Format.fprintf ppf "circuit breaker open"
 
 let degradation_to_string d = Format.asprintf "%a" pp_degradation d
 
@@ -172,39 +169,6 @@ let clear_cache () =
   Cache.clear_entries cache;
   cache.Cache.stamp <- None
 
-(* --- fleet-wide circuit breaker around the model path --- *)
-
-type breaker_config = {
-  breaker : Runtime.Breaker.config;
-  slow_call_seconds : float option;
-}
-
-let default_breaker_config =
-  {
-    breaker = Runtime.Breaker.default_config;
-    (* The model here is a small CPU net; a multi-second inference is
-       pathological and counts against the breaker like a failure. *)
-    slow_call_seconds = Some 5.0;
-  }
-
-let breaker_config = ref default_breaker_config
-
-let make_breaker () =
-  Runtime.Breaker.create ~config:!breaker_config.breaker
-    ~now:Runtime.Clock.now ()
-
-let breaker = ref (make_breaker ())
-
-let configure_breaker config =
-  breaker_config := config;
-  breaker := make_breaker ()
-
-let breaker_state () = Runtime.Breaker.state !breaker
-
-let breaker_trip_count () = Runtime.Breaker.trip_count !breaker
-
-let reset_breaker () = Runtime.Breaker.reset !breaker
-
 let policy_of_probability ~alpha probability =
   if probability > 0.5 then begin
     Obs.Metrics.incr m_chose_frequency;
@@ -212,29 +176,12 @@ let policy_of_probability ~alpha probability =
   end
   else Cdcl.Policy.Default
 
-let breaker_open_selection () =
-  Obs.Metrics.incr m_fallbacks;
-  Obs.Metrics.incr m_breaker_rejections;
-  (* Fail fast, fleet-wide: while the breaker is open no selection
-     pays for (or further stresses) the failing model path — every
-     instance runs the paper's baseline policy until the cooldown
-     admits half-open trial calls again. *)
-  {
-    policy = Cdcl.Policy.Default;
-    probability = Float.nan;
-    inference_seconds = 0.0;
-    degraded = Some Breaker_open;
-    cached = false;
-  }
-
 let degraded_selection ~inference_seconds d =
   Obs.Metrics.incr m_fallbacks;
   {
     policy = Cdcl.Policy.Default;
     probability =
-      (match d with
-      | Non_finite_probability p -> p
-      | Model_failure _ | Breaker_open -> Float.nan);
+      (match d with Non_finite_probability p -> p | Model_failure _ -> Float.nan);
     inference_seconds;
     degraded = Some d;
     cached = false;
@@ -258,8 +205,6 @@ let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
   in
   match probe with
   | Hit (probability, seconds) ->
-      (* Decision served from the fingerprint cache: no model call, so
-         the breaker is neither consulted nor charged. *)
       {
         policy = policy_of_probability ~alpha probability;
         probability;
@@ -268,52 +213,41 @@ let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
         cached = true;
       }
   | No_cache | Miss _ -> (
-      if Runtime.Fault.fires Runtime.Fault.Breaker_trip then
-        Runtime.Breaker.force_open !breaker;
-      if not (Runtime.Breaker.allow !breaker) then breaker_open_selection ()
-      else begin
-        let t0 = Runtime.Clock.now () in
-        let outcome =
-          (* Any failure of the learned component — a model that did
-             not load, an overflow in the forward pass, an injected
-             fault — degrades to the default deletion policy rather
-             than aborting the sweep; the paper's baseline Kissat
-             behaviour is always available. *)
-          match
-            Obs.Trace.with_span "selector.inference" (fun () ->
-                if Runtime.Fault.fires Runtime.Fault.Inference_failure then
-                  Runtime.Error.raise_
-                    (Runtime.Error.Injected_fault { point = "inference" });
-                Model.predict model (Satgraph.Bigraph.of_formula formula))
-          with
-          | p when Float.is_finite p -> Ok p
-          | p -> Error (Non_finite_probability p)
-          | exception e -> Error (Model_failure (Printexc.to_string e))
-        in
-        let inference_seconds = Runtime.Clock.elapsed_since t0 in
-        Obs.Metrics.observe h_inference inference_seconds;
-        let slow =
-          match !breaker_config.slow_call_seconds with
-          | Some s -> inference_seconds > s
-          | None -> false
-        in
-        (match outcome with
-        | Ok _ when not slow -> Runtime.Breaker.record_success !breaker
-        | Ok _ | Error _ -> Runtime.Breaker.record_failure !breaker);
-        match outcome with
-        | Ok probability ->
-            (match probe with
-            | Miss key -> Cache.add cache key probability
-            | No_cache | Hit _ -> ());
-            {
-              policy = policy_of_probability ~alpha probability;
-              probability;
-              inference_seconds;
-              degraded = None;
-              cached = false;
-            }
-        | Error d -> degraded_selection ~inference_seconds d
-      end)
+      let t0 = Runtime.Clock.now () in
+      let outcome =
+        (* Any failure of the learned component — a model that did not
+           load, an overflow in the forward pass, an injected fault —
+           degrades this one selection to the default deletion policy
+           rather than aborting the sweep; the paper's baseline Kissat
+           behaviour is always available. A failure is never cached and
+           leaves no other state behind, so the next selection consults
+           the model afresh. *)
+        match
+          Obs.Trace.with_span "selector.inference" (fun () ->
+              if Runtime.Fault.fires Runtime.Fault.Inference_failure then
+                Runtime.Error.raise_
+                  (Runtime.Error.Injected_fault { point = "inference" });
+              Model.predict model (Satgraph.Bigraph.of_formula formula))
+        with
+        | p when Float.is_finite p -> Ok p
+        | p -> Error (Non_finite_probability p)
+        | exception e -> Error (Model_failure (Printexc.to_string e))
+      in
+      let inference_seconds = Runtime.Clock.elapsed_since t0 in
+      Obs.Metrics.observe h_inference inference_seconds;
+      match outcome with
+      | Ok probability ->
+          (match probe with
+          | Miss key -> Cache.add cache key probability
+          | No_cache | Hit _ -> ());
+          {
+            policy = policy_of_probability ~alpha probability;
+            probability;
+            inference_seconds;
+            degraded = None;
+            cached = false;
+          }
+      | Error d -> degraded_selection ~inference_seconds d)
 
 let solve_adaptive ?(config = Cdcl.Config.default) ?alpha ?use_cache model
     formula =

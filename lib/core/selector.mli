@@ -10,21 +10,17 @@
     that abort a sweep — it degrades to the default deletion policy
     and records why in [degraded].
 
-    A fleet-wide circuit breaker guards the model path: repeated
-    failures (or pathologically slow inferences, see
-    {!breaker_config}) trip it open, after which every selection
-    short-circuits to the default policy without touching the model —
-    failing fast instead of once per call. After the cooldown the
-    breaker admits half-open trial inferences; enough successes
-    restore the model path for the whole fleet. *)
+    A failure degrades only its own selection: it is not cached and
+    leaves no other state behind, so a decision depends only on the
+    model, the formula and [alpha], never on the clock or on earlier
+    failures. The decision cache only replays the probability of an
+    earlier selection of the same instance. *)
 
 type degradation =
   | Model_failure of string
       (** The model raised (bad checkpoint, forward-pass failure). *)
   | Non_finite_probability of float
       (** The model returned NaN/Inf. *)
-  | Breaker_open
-      (** The circuit breaker is open; the model was not consulted. *)
 
 val pp_degradation : Format.formatter -> degradation -> unit
 val degradation_to_string : degradation -> string
@@ -39,7 +35,7 @@ type selection = {
           was substituted. *)
   cached : bool;
       (** Served from the fingerprint-keyed decision cache; no
-          inference ran and the breaker was not consulted. *)
+          inference ran. *)
 }
 
 val select_policy :
@@ -52,8 +48,9 @@ val select_policy :
 
     [use_cache] (default [false]) consults the process-wide LRU
     decision cache keyed by {!Cnf.Fingerprint.compute_hex}: a hit
-    replays the stored probability without touching the model or the
-    breaker. The cache is stamped with the model's
+    replays the stored probability without touching the model. Only
+    usable probabilities are stored: a degraded selection is never
+    cached. The cache is stamped with the model's
     ({!Model.uid}, {!Model.generation}) pair, so loading a checkpoint
     into the model invalidates every cached decision. *)
 
@@ -77,28 +74,6 @@ val set_cache_capacity : int -> unit
 
 val clear_cache : unit -> unit
 (** Drop all entries (counted as evictions). *)
-
-(** {2 Circuit breaker} *)
-
-type breaker_config = {
-  breaker : Runtime.Breaker.config;
-  slow_call_seconds : float option;
-      (** Inferences slower than this count as breaker failures even
-          when they return a usable probability; [None] disables the
-          slow-call criterion. *)
-}
-
-val default_breaker_config : breaker_config
-(** {!Runtime.Breaker.default_config} plus a 5 s slow-call bound. *)
-
-val configure_breaker : breaker_config -> unit
-(** Replace the configuration and reset the breaker. *)
-
-val breaker_state : unit -> Runtime.Breaker.state
-val breaker_trip_count : unit -> int
-
-val reset_breaker : unit -> unit
-(** Close the breaker and clear its counters (tests, operator reset). *)
 
 val solve_adaptive :
   ?config:Cdcl.Config.t ->

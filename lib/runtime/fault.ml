@@ -6,7 +6,6 @@ type point =
   | Instance_crash
   | Worker_crash
   | Worker_hang
-  | Breaker_trip
   | Inprocess_abort
   | Wal_torn_append
   | Wal_crash_before_fsync
@@ -21,7 +20,6 @@ let all =
     Instance_crash;
     Worker_crash;
     Worker_hang;
-    Breaker_trip;
     Inprocess_abort;
     Wal_torn_append;
     Wal_crash_before_fsync;
@@ -36,7 +34,6 @@ let name = function
   | Instance_crash -> "instance-crash"
   | Worker_crash -> "worker-crash"
   | Worker_hang -> "worker-hang"
-  | Breaker_trip -> "breaker-trip"
   | Inprocess_abort -> "inprocess-abort"
   | Wal_torn_append -> "wal-torn-append"
   | Wal_crash_before_fsync -> "wal-crash-before-fsync"

@@ -31,8 +31,6 @@ type point =
       (** Supervisor's forked worker stops heartbeating and sleeps —
           the watchdog must detect and reap it. Decided pre-fork like
           {!Worker_crash}. *)
-  | Breaker_trip
-      (** Selector's circuit breaker is forced open. *)
   | Inprocess_abort
       (** The solver's inprocessing pass raises mid-vivification,
           simulating a crash during in-place clause surgery. The

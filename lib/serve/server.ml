@@ -79,6 +79,7 @@ type pending_req = {
   pr_extra : J.record;
       (* Parent-side selection fields (policy, cache, probability)
          merged into the solve response. *)
+  pr_degraded : bool; (* the selection fell back to the default policy *)
 }
 
 type t = {
@@ -96,8 +97,6 @@ let log t fmt =
     (fun s -> if t.config.verbose then Printf.eprintf "c [serve] %s\n%!" s)
     fmt
 
-let degraded () = Core.Selector.breaker_state () = Runtime.Breaker.Open
-
 let journal_append t record =
   match t.config.journal with
   | None -> ()
@@ -106,14 +105,16 @@ let journal_append t record =
     | Ok () -> ()
     | Error e -> log t "journal append failed: %s" (Runtime.Error.to_string e))
 
-let base_response ~id ~status rest =
+(* [degraded] is true exactly on the replies to a solve whose policy
+   selection fell back to the default; every other response says false. *)
+let base_response ?(degraded = false) ~id ~status rest =
   ("id", J.String id)
   :: ("status", J.String status)
-  :: ("degraded", J.Bool (degraded ()))
+  :: ("degraded", J.Bool degraded)
   :: rest
 
-let error_response ~id msg =
-  base_response ~id ~status:"error" [ ("error", J.String msg) ]
+let error_response ?degraded ~id msg =
+  base_response ?degraded ~id ~status:"error" [ ("error", J.String msg) ]
 
 (* A string request field, "" when absent. *)
 let field fields name = Option.value (J.find_string fields name) ~default:""
@@ -136,6 +137,7 @@ let on_pool_complete t (c : Runtime.Pool.completion) =
         ("latency_ms", J.Float (1000.0 *. latency));
       ]
     in
+    let degraded = pr.pr_degraded and id = pr.pr_user_id in
     let record =
       match c.Runtime.Pool.outcome with
       | Runtime.Pool.Done payload ->
@@ -145,14 +147,13 @@ let on_pool_complete t (c : Runtime.Pool.completion) =
           | Some fields -> fields
           | None -> [ ("verdict", J.String "unknown") ]
         in
-        base_response ~id:pr.pr_user_id ~status:"ok"
-          (body @ pr.pr_extra @ tail)
+        base_response ~degraded ~id ~status:"ok" (body @ pr.pr_extra @ tail)
       | Runtime.Pool.Failed msg ->
         Obs.Metrics.incr m_failed;
-        error_response ~id:pr.pr_user_id msg @ tail
+        error_response ~degraded ~id msg @ tail
       | Runtime.Pool.Shed ->
         (* 429-style: admission control refused the request. *)
-        base_response ~id:pr.pr_user_id ~status:"shed" tail
+        base_response ~degraded ~id ~status:"shed" tail
     in
     pr.pr_reply record;
     journal_append t record
@@ -227,9 +228,6 @@ let handle_metrics t ~id reply =
          num "evicted" (Store.evictions t.store);
          num "snapshot_failures" (Store.snapshot_failures t.store);
          ("wal", J.Bool (t.config.store.Store.wal_dir <> None));
-         ( "breaker",
-           J.String
-             (Runtime.Breaker.state_name (Core.Selector.breaker_state ())) );
          ("draining", J.Bool t.draining);
        ])
 
@@ -261,12 +259,12 @@ let handle_solve t ~id reply fields =
        through the fingerprint-keyed decision cache, and ship the
        chosen policy's name to the worker. A repeated instance costs a
        cache lookup instead of a model forward. *)
-    let policy, extra =
+    let policy, extra, degraded =
       match t.config.selector with
-      | None -> (None, [])
+      | None -> (None, [], false)
       | Some model -> (
         match Cnf.Dimacs.parse_string dimacs with
-        | exception _ -> (None, [])
+        | exception _ -> (None, [], false)
         | formula ->
           let t0 = Unix.gettimeofday () in
           let s = Core.Selector.select_policy ~use_cache:true model formula in
@@ -284,7 +282,9 @@ let handle_solve t ~id reply fields =
               extra @ [ ("probability", J.Float s.Core.Selector.probability) ]
             else extra
           in
-          (Some (Cdcl.Policy.name s.Core.Selector.policy), extra))
+          ( Some (Cdcl.Policy.name s.Core.Selector.policy),
+            extra,
+            s.Core.Selector.degraded <> None ))
     in
     let pool_id = Printf.sprintf "r%d" t.next_req in
     t.next_req <- t.next_req + 1;
@@ -295,6 +295,7 @@ let handle_solve t ~id reply fields =
         pr_submitted = Unix.gettimeofday ();
         pr_marker = inject_marker;
         pr_extra = extra;
+        pr_degraded = degraded;
       };
     let limits =
       {
@@ -370,9 +371,9 @@ let handle_session t ~id reply fields =
       ok rest)
   | other, None -> err (Printf.sprintf "session: unknown action %S" other)
 
-let reject t ~id reply =
+let reject ?degraded t ~id reply =
   Obs.Metrics.incr m_rejected;
-  let record = base_response ~id ~status:"rejected" [] in
+  let record = base_response ?degraded ~id ~status:"rejected" [] in
   reply record;
   journal_append t record
 
@@ -429,7 +430,7 @@ let drain t =
       | None -> ()
       | Some pr ->
         Hashtbl.remove t.pending pool_id;
-        reject t ~id:pr.pr_user_id pr.pr_reply)
+        reject ~degraded:pr.pr_degraded t ~id:pr.pr_user_id pr.pr_reply)
     not_run;
   (* Sync and close the WAL so the final fsync covers every acked op. *)
   Store.close t.store;

@@ -21,12 +21,15 @@
        "key":"client idempotency key"}
     v}
 
-    Responses echo "id", carry "status" ("ok" | "error" | "shed" |
-    "rejected") and the inference-breaker "degraded" flag; solves add
-    the verdict, model, solver statistics, attempt count and latency,
-    and with a [selector] the chosen "policy", "cache" ("hit" | "miss"),
-    "selection_ms" and "probability". A session request whose "key"
-    already executed returns the cached reply with "replayed":true. *)
+    Responses echo "id" and carry "status" ("ok" | "error" | "shed" |
+    "rejected") and "degraded", which is true exactly on the replies to
+    a solve whose policy selection fell back to the default (the model
+    failed on that request) and false on every other response. Solves
+    add the verdict, model, solver statistics, attempt count and
+    latency, and with a [selector] the chosen "policy", "cache"
+    ("hit" | "miss"), "selection_ms" and, when the model decided,
+    "probability". A session request whose "key" already executed
+    returns the cached reply with "replayed":true. *)
 
 type config = {
   jobs : int;  (** Concurrent solver workers. *)

@@ -218,8 +218,10 @@ let matmul_into ~out a b =
     invalid_arg
       (Printf.sprintf "Mat.matmul_into: out %dx%d for %dx%d * %dx%d" out.rows
          out.cols a.rows a.cols b.rows b.cols);
-  if out.data == a.data || out.data == b.data then
-    invalid_arg "Mat.matmul_into: out aliases an input";
+  (* Every empty float array is one shared value, so a zero-size [out]
+     is physically equal to any empty input without aliasing it. *)
+  if Array.length out.data > 0 && (out.data == a.data || out.data == b.data)
+  then invalid_arg "Mat.matmul_into: out aliases an input";
   let m = a.rows and kk = a.cols and n = b.cols in
   let ad = a.data and bd = b.data and od = out.data in
   Array.fill od 0 (m * n) 0.0;

@@ -91,7 +91,7 @@ val matmul_into : out:t -> t -> t -> unit
     in ascending [k] one addition at a time, so results are
     bit-identical to {!matmul_naive} — signed zeros and infinities
     included, NaN at the same positions (NaN payload bits are
-    unspecified). [out] must not alias [a] or [b]
+    unspecified). A non-empty [out] must not alias [a] or [b]
     (@raise Invalid_argument). *)
 
 val add_row_in_place : t -> t -> unit

@@ -50,10 +50,8 @@ let scenario name f =
     | exception e -> (false, "raised " ^ Printexc.to_string e)
   in
   Fault.disarm ();
-  (* Scenario isolation: the selector breaker and the clock source are
-     process-wide; a scenario that tripped or faked them must not leak
-     into the next. *)
-  Core.Selector.configure_breaker Core.Selector.default_breaker_config;
+  (* Scenario isolation: the clock source is process-wide; a scenario
+     that faked it must not leak into the next. *)
   Runtime.Clock.use_wall_clock ();
   { scenario = name; passed; detail }
 
@@ -392,52 +390,6 @@ let worker_hang_watchdog ~seed ~dir:_ () =
   Printf.sprintf
     "hang detected after %.2fs silence (bound %.2fs); pool retry absorbed it"
     silence watchdog_bound
-
-(* Tripping the breaker degrades every selection to the default policy
-   without consulting the model; after the cooldown a half-open trial
-   succeeds and the model path is restored. *)
-let breaker_trip_recovers ~seed ~dir:_ () =
-  let model = Core.Model.create Core.Model.small_config in
-  Core.Selector.configure_breaker
-    {
-      Core.Selector.breaker =
-        {
-          Runtime.Breaker.failure_threshold = 3;
-          cooldown_seconds = 0.2;
-          half_open_trials = 1;
-        };
-      slow_call_seconds = None;
-    };
-  Fault.arm ~seed ~limit:1 [ Fault.Breaker_trip ];
-  let s = Core.Selector.select_policy model small_formula in
-  Fault.disarm ();
-  check
-    (s.Core.Selector.degraded = Some Core.Selector.Breaker_open)
-    "forced trip not recorded as Breaker_open";
-  check (s.Core.Selector.policy = Cdcl.Policy.Default) "trip did not select default";
-  (* While open, every selection short-circuits. *)
-  for _ = 1 to 3 do
-    let s' = Core.Selector.select_policy model small_formula in
-    check
-      (s'.Core.Selector.degraded = Some Core.Selector.Breaker_open)
-      "open breaker still consulted the model"
-  done;
-  check
-    (Core.Selector.breaker_state () = Runtime.Breaker.Open)
-    "breaker not open after the trip";
-  check (Core.Selector.breaker_trip_count () >= 1) "trip not counted";
-  (* Cooldown elapses on the wall clock; the next selection is the
-     half-open trial, succeeds, and closes the breaker. *)
-  Unix.sleepf 0.25;
-  let s3 = Core.Selector.select_policy model small_formula in
-  check (s3.Core.Selector.degraded = None) "half-open trial did not reach the model";
-  check
-    (Float.is_finite s3.Core.Selector.probability)
-    "restored model path returned a bad probability";
-  check
-    (Core.Selector.breaker_state () = Runtime.Breaker.Closed)
-    "successful half-open trial did not close the breaker";
-  "breaker trip short-circuited selections to default; half-open recovery restored the model path"
 
 (* --- inprocessing scenario --- *)
 
@@ -836,7 +788,6 @@ let all_scenarios =
     ("worker-kill-retry", worker_killed_retried);
     ("worker-rss-cap", worker_rss_reaped);
     ("worker-hang-watchdog", worker_hang_watchdog);
-    ("breaker-trip-recover", breaker_trip_recovers);
     ("inprocess-abort-recover", inprocess_abort_recovers);
     ("parallel-journal-equivalence", parallel_journal_equivalence);
     ("wal-torn-append-truncate", wal_torn_append_truncates);

@@ -292,24 +292,47 @@ let test_selector_healthy_not_degraded () =
   checkb "healthy inference records no degradation" true
     (s.Core.Selector.degraded = None)
 
-let test_selector_degrades_on_nan_weights () =
+(* Poison the output layer (the last parameter): relu layers can mask
+   hidden NaNs, the head cannot. *)
+let nan_poisoned_model () =
   let model = Core.Model.create Core.Model.small_config in
-  (* Poison the output layer (the last parameter): relu layers can mask
-     hidden NaNs, the head cannot. *)
   (match List.rev (Core.Model.params model) with
   | [] -> Alcotest.fail "model has no parameters"
   | p :: _ -> Tensor.Mat.set p.Nn.Param.value 0 0 Float.nan);
-  let s = Core.Selector.select_policy model small_formula in
-  (match s.Core.Selector.degraded with
-  | Some (Core.Selector.Non_finite_probability p) ->
-    checkb "offending probability is non-finite" true (not (Float.is_finite p))
-  | Some (Core.Selector.Model_failure m) ->
-    Alcotest.failf "classified as model failure: %s" m
-  | Some Core.Selector.Breaker_open ->
-    Alcotest.fail "breaker tripped on a single NaN"
-  | None -> Alcotest.fail "NaN output not detected");
-  checkb "falls back to the default policy" true
-    (s.Core.Selector.policy = Cdcl.Policy.Default)
+  model
+
+(* Every failure is classified on its own: earlier failures never turn
+   a later selection into anything but its own typed fallback. *)
+let test_selector_degrades_on_nan_weights () =
+  let model = nan_poisoned_model () in
+  for i = 1 to 6 do
+    let s = Core.Selector.select_policy model small_formula in
+    (match s.Core.Selector.degraded with
+    | Some (Core.Selector.Non_finite_probability p) ->
+      checkb "offending probability is non-finite" true (not (Float.is_finite p))
+    | Some (Core.Selector.Model_failure m) ->
+      Alcotest.failf "selection %d classified as model failure: %s" i m
+    | None -> Alcotest.failf "selection %d: NaN output not detected" i);
+    checkb "falls back to the default policy" true
+      (s.Core.Selector.policy = Cdcl.Policy.Default)
+  done
+
+(* A decision never depends on how long inference took: with a clock
+   that jumps 6 s per read, every selection still reaches the model. *)
+let test_selector_ignores_clock () =
+  let model = Core.Model.create Core.Model.small_config in
+  let t = ref 0.0 in
+  Runtime.Clock.set_source (fun () ->
+      t := !t +. 6.0;
+      !t);
+  Fun.protect ~finally:Runtime.Clock.use_wall_clock (fun () ->
+      for i = 1 to 10 do
+        let s = Core.Selector.select_policy model small_formula in
+        checkb (Printf.sprintf "selection %d not degraded" i) true
+          (s.Core.Selector.degraded = None);
+        checkb (Printf.sprintf "selection %d probability finite" i) true
+          (Float.is_finite s.Core.Selector.probability)
+      done)
 
 let test_selector_degrades_on_injected_failure () =
   let model = Core.Model.create Core.Model.small_config in
@@ -400,6 +423,8 @@ let suite =
       test_selector_healthy_not_degraded;
     Alcotest.test_case "selector degrades on nan" `Quick
       test_selector_degrades_on_nan_weights;
+    Alcotest.test_case "selector ignores the clock" `Quick
+      test_selector_ignores_clock;
     Alcotest.test_case "selector degrades on injected failure" `Quick
       test_selector_degrades_on_injected_failure;
     Alcotest.test_case "trainer overfits separable" `Slow test_trainer_overfits_separable;
@@ -472,16 +497,18 @@ let predict_tape model graph =
   1.0 /. (1.0 +. exp (-.z))
 
 (* The engine replaced the training tape as the production [predict]
-   path; it must reproduce the tape's output to the last bit. *)
+   path; it must reproduce the tape's output to the last bit, also on a
+   formula with variables but no clauses (legal DIMACS: [p cnf 3 0]). *)
 let test_engine_matches_tape () =
   let model = Core.Model.create Core.Model.paper_config in
+  let clause_free = Bigraph.of_formula (Cnf.Formula.of_dimacs_lists ~num_vars:3 []) in
   List.iter
     (fun g ->
       let fast = Core.Model.predict model g in
       let tape = predict_tape model g in
       checkb "engine = tape (bits)" true
         (Int64.bits_of_float fast = Int64.bits_of_float tape))
-    (small_graph :: graphs_for_engine_tests 4)
+    (small_graph :: clause_free :: graphs_for_engine_tests 4)
 
 (* Steady-state inference must be allocation-light: after warmup the
    engine runs out of pooled buffers, so a forward allocates orders of
@@ -534,7 +561,6 @@ let test_engine_pool_bounded () =
 
 let test_selector_cache_hit_and_stats () =
   Core.Selector.clear_cache ();
-  Core.Selector.reset_breaker ();
   let model = Core.Model.create Core.Model.small_config in
   let before = Core.Selector.cache_stats () in
   let s1 = Core.Selector.select_policy ~use_cache:true model small_formula in
@@ -576,7 +602,6 @@ let test_selector_cache_hit_and_stats () =
 
 let test_selector_cache_invalidated_by_load () =
   Core.Selector.clear_cache ();
-  Core.Selector.reset_breaker ();
   let model = Core.Model.create Core.Model.small_config in
   let gen0 = Core.Model.generation model in
   ignore (Core.Selector.select_policy ~use_cache:true model small_formula);
@@ -596,7 +621,6 @@ let test_selector_cache_invalidated_by_load () =
 
 let test_selector_cache_capacity_eviction () =
   Core.Selector.clear_cache ();
-  Core.Selector.reset_breaker ();
   let model = Core.Model.create Core.Model.small_config in
   Core.Selector.set_cache_capacity 2;
   Fun.protect
@@ -622,6 +646,25 @@ let test_selector_cache_capacity_eviction () =
         (Invalid_argument "Selector.set_cache_capacity") (fun () ->
           Core.Selector.set_cache_capacity 0))
 
+(* A failed forward leaves no state behind: it is neither cached nor
+   served from the cache, so the same formula misses and degrades
+   again. *)
+let test_selector_failure_not_cached () =
+  Core.Selector.clear_cache ();
+  let model = nan_poisoned_model () in
+  let before = Core.Selector.cache_stats () in
+  for i = 1 to 2 do
+    let s = Core.Selector.select_policy ~use_cache:true model small_formula in
+    checkb (Printf.sprintf "selection %d is a miss" i) true
+      (not s.Core.Selector.cached);
+    checkb (Printf.sprintf "selection %d degrades" i) true
+      (s.Core.Selector.degraded <> None)
+  done;
+  let after = Core.Selector.cache_stats () in
+  checki "cache size unchanged" before.Core.Selector.size after.Core.Selector.size;
+  checki "no hits" before.Core.Selector.hits after.Core.Selector.hits;
+  checki "two misses" (before.Core.Selector.misses + 2) after.Core.Selector.misses
+
 let suite =
   suite
   @ [
@@ -635,4 +678,6 @@ let suite =
         test_selector_cache_invalidated_by_load;
       Alcotest.test_case "selector cache capacity/LRU" `Quick
         test_selector_cache_capacity_eviction;
+      Alcotest.test_case "selector failure not cached" `Quick
+        test_selector_failure_not_cached;
     ]

@@ -251,109 +251,6 @@ let test_backoff_envelope () =
   Alcotest.(check (float 1e-9)) "reset replays the schedule" 0.1
     (Runtime.Backoff.delay reset)
 
-(* --- circuit breaker --- *)
-
-let breaker_test_config =
-  {
-    Runtime.Breaker.failure_threshold = 2;
-    cooldown_seconds = 10.0;
-    half_open_trials = 2;
-  }
-
-let test_breaker_lifecycle () =
-  let t = ref 0.0 in
-  let b =
-    Runtime.Breaker.create ~config:breaker_test_config ~now:(fun () -> !t) ()
-  in
-  checkb "starts closed" true (Runtime.Breaker.state b = Runtime.Breaker.Closed);
-  checkb "closed allows" true (Runtime.Breaker.allow b);
-  Runtime.Breaker.record_failure b;
-  checkb "below threshold stays closed" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Closed);
-  Runtime.Breaker.record_failure b;
-  checkb "threshold trips open" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Open);
-  checkb "open refuses" false (Runtime.Breaker.allow b);
-  checki "trip counted" 1 (Runtime.Breaker.trip_count b);
-  t := 9.9;
-  checkb "still open just before cooldown" false (Runtime.Breaker.allow b);
-  t := 10.1;
-  checkb "cooldown admits a trial" true (Runtime.Breaker.allow b);
-  checkb "half-open after cooldown" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Half_open);
-  Runtime.Breaker.record_success b;
-  checkb "one success of two keeps it half-open" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Half_open);
-  Runtime.Breaker.record_success b;
-  checkb "enough trial successes close it" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Closed)
-
-let test_breaker_half_open_failure_reopens () =
-  let t = ref 0.0 in
-  let b =
-    Runtime.Breaker.create ~config:breaker_test_config ~now:(fun () -> !t) ()
-  in
-  Runtime.Breaker.force_open b;
-  t := 11.0;
-  checkb "trial admitted" true (Runtime.Breaker.allow b);
-  Runtime.Breaker.record_failure b;
-  checkb "half-open failure re-opens" true
-    (Runtime.Breaker.state b = Runtime.Breaker.Open);
-  checkb "re-opened refuses" false (Runtime.Breaker.allow b);
-  t := 22.0;
-  checkb "second cooldown admits again" true (Runtime.Breaker.allow b)
-
-let prop_breaker_transitions =
-  (* Under any op sequence on a fake clock the observed state only ever
-     moves along the state graph: Closed→Open (threshold), Open→
-     Half_open (cooldown), Half_open→Closed (successes) or
-     Half_open→Open (failure). Time advance alone never re-opens. *)
-  QCheck.Test.make ~name:"breaker transitions follow the state graph" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 60) (int_range 0 3))
-    (fun ops ->
-      let t = ref 0.0 in
-      let b =
-        Runtime.Breaker.create
-          ~config:
-            {
-              Runtime.Breaker.failure_threshold = 2;
-              cooldown_seconds = 5.0;
-              half_open_trials = 1;
-            }
-          ~now:(fun () -> !t)
-          ()
-      in
-      let prev = ref (Runtime.Breaker.state b) in
-      let edge_ok a s =
-        a = s
-        ||
-        match (a, s) with
-        | Runtime.Breaker.Closed, Runtime.Breaker.Open
-        | Runtime.Breaker.Open, Runtime.Breaker.Half_open
-        | Runtime.Breaker.Half_open, Runtime.Breaker.Closed
-        | Runtime.Breaker.Half_open, Runtime.Breaker.Open ->
-          true
-        | _ -> false
-      in
-      let observe () =
-        let s = Runtime.Breaker.state b in
-        let ok = edge_ok !prev s in
-        prev := s;
-        ok
-      in
-      List.for_all
-        (fun op ->
-          (* Observe before and after each op so composite steps
-             (cooldown edge + op) decompose into single edges. *)
-          let pre = observe () in
-          (match op with
-          | 0 -> t := !t +. 2.0
-          | 1 -> Runtime.Breaker.record_failure b
-          | 2 -> Runtime.Breaker.record_success b
-          | _ -> ignore (Runtime.Breaker.allow b));
-          pre && observe ())
-        ops)
-
 (* --- supervisor --- *)
 
 let slim =
@@ -579,7 +476,7 @@ let test_sweep_stale_tmp () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_backoff_bounded; prop_backoff_deterministic; prop_breaker_transitions ]
+    [ prop_backoff_bounded; prop_backoff_deterministic ]
 
 let suite =
   [
@@ -601,10 +498,6 @@ let suite =
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
     Alcotest.test_case "error classification" `Quick test_error_classification;
     Alcotest.test_case "backoff envelope (jitter 0)" `Quick test_backoff_envelope;
-    Alcotest.test_case "breaker lifecycle (fake clock)" `Quick
-      test_breaker_lifecycle;
-    Alcotest.test_case "breaker half-open failure reopens" `Quick
-      test_breaker_half_open_failure_reopens;
     Alcotest.test_case "supervisor completed results" `Quick
       test_supervisor_completed;
     Alcotest.test_case "supervisor worker exception" `Quick

@@ -264,7 +264,7 @@ let test_server_ping_and_metrics () =
       "id"; "status"; "degraded"; "requests"; "cache_hits"; "cache_misses";
       "cache_evictions"; "cache_size"; "completed"; "failed"; "rejected";
       "shed"; "worker_retries"; "in_flight"; "queued"; "sessions"; "evicted";
-      "snapshot_failures"; "wal"; "breaker"; "draining";
+      "snapshot_failures"; "wal"; "draining";
     ]
     (List.map fst m);
   checkb "not draining" true (J.find_bool m "draining" = Some false)
@@ -334,7 +334,6 @@ let test_server_drain_rejects () =
 
 let test_server_selector_cache () =
   Core.Selector.clear_cache ();
-  Core.Selector.reset_breaker ();
   let selector = Some (Core.Model.create Core.Model.paper_config) in
   let srv = create_server { server_config with Server.selector } in
   let solve dimacs = request_pumped srv [ op "solve"; ("dimacs", J.String dimacs) ] in
@@ -349,6 +348,30 @@ let test_server_selector_cache () =
       checkb "selection_ms" true (J.find_float r "selection_ms" <> None);
       checkb "probability" true (J.find_float r "probability" <> None))
     [ cold; warm ]
+
+(* [degraded] belongs to the request. A formula without variables is a
+   per-request model failure: each such solve falls back and says so,
+   and none of them changes the next instance's decision or any other
+   reply. *)
+let test_server_degraded_per_request () =
+  Core.Selector.clear_cache ();
+  let selector = Some (Core.Model.create Core.Model.paper_config) in
+  let srv = create_server { server_config with Server.selector } in
+  let solve dimacs = request_pumped srv [ op "solve"; ("dimacs", J.String dimacs) ] in
+  let degraded r = J.find_bool r "degraded" in
+  for i = 1 to 5 do
+    let r = solve "p cnf 0 0\n" in
+    checkb (Printf.sprintf "fallback %d degraded" i) true (degraded r = Some true);
+    checks "fallback policy" "default" (J.find_string r "policy");
+    checkb "fallback has no probability" true (J.find_float r "probability" = None)
+  done;
+  let fresh = solve "p cnf 3 2\n1 2 0\n-1 3 0\n" in
+  checkb "fresh instance not degraded" true (degraded fresh = Some false);
+  checkb "fresh instance gets a model decision" true
+    (match J.find_float fresh "probability" with
+    | Some p -> Float.is_finite p
+    | None -> false);
+  checkb "ping not degraded" true (degraded (request srv [ op "ping" ]) = Some false)
 
 (* --- the select loop over real sockets ----------------------------------- *)
 
@@ -534,6 +557,8 @@ let suite =
     Alcotest.test_case "server sessions and keys" `Quick test_server_sessions;
     Alcotest.test_case "server pool solve" `Quick test_server_pool_solve;
     Alcotest.test_case "server drain rejects" `Quick test_server_drain_rejects;
+    Alcotest.test_case "server degraded per request" `Quick
+      test_server_degraded_per_request;
     Alcotest.test_case "server selector cache" `Quick
       test_server_selector_cache;
     Alcotest.test_case "server answers after eof" `Quick

@@ -173,7 +173,12 @@ let test_matmul_into_shape_and_alias () =
   let sq = Mat.random_uniform (Util.Rng.create 3) 4 4 1.0 in
   Alcotest.check_raises "aliased out"
     (Invalid_argument "Mat.matmul_into: out aliases an input") (fun () ->
-      Mat.matmul_into ~out:sq sq sq)
+      Mat.matmul_into ~out:sq sq sq);
+  (* Every empty float array is the same value, so a 0-row out and a
+     0-row input are physically equal without aliasing. *)
+  let out = Mat.zeros 0 5 in
+  Mat.matmul_into ~out (Mat.zeros 0 4) b;
+  checkb "0-row product" true (Mat.shape out = (0, 5))
 
 let prop_matmul_assoc_with_vector =
   QCheck.Test.make ~name:"(AB)x = A(Bx)" ~count:50 QCheck.small_int (fun seed ->
