@@ -23,8 +23,8 @@ let load_selector checkpoint =
   model
 
 let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
-    wal wal_group_commit snapshot_every max_sessions session_ttl allow_inject
-    adaptive checkpoint verbose =
+    wal wal_group_commit snapshot_every max_sessions session_ttl adaptive
+    checkpoint verbose =
   Runtime.Shutdown.install ();
   let store =
     {
@@ -48,7 +48,6 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
       deadline;
       mem_mb;
       journal;
-      allow_inject;
       selector;
       store;
       verbose;
@@ -203,14 +202,6 @@ let session_ttl =
           "Evict sessions idle longer than this (sweep runs about once a \
            second; evictions are WAL-logged). 0 disables eviction.")
 
-let allow_inject =
-  Arg.(
-    value & flag
-    & info [ "allow-inject" ]
-        ~doc:
-          "Honour the request field inject:\"crash_once\" (worker dies on \
-           its first attempt) — for load-test drills only.")
-
 let adaptive =
   Arg.(
     value & flag
@@ -242,7 +233,6 @@ let cmd =
     Term.(
       const run $ socket $ stdio $ jobs $ max_queue $ max_retries $ deadline
       $ mem_mb $ journal $ pidfile $ wal $ wal_group_commit $ snapshot_every
-      $ max_sessions $ session_ttl $ allow_inject $ adaptive $ checkpoint
-      $ verbose)
+      $ max_sessions $ session_ttl $ adaptive $ checkpoint $ verbose)
 
 let () = exit (Cmd.eval' cmd)

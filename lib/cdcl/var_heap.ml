@@ -83,7 +83,7 @@ let bump t v inc =
   if mem t v then sift_up t t.pos.(v)
 
 let rescale t factor =
-  for v = 1 to Array.length t.act - 1 do
+  for v = 1 to t.num_vars do
     t.act.(v) <- t.act.(v) *. factor
   done;
   t.max_act <- t.max_act *. factor
@@ -91,20 +91,22 @@ let rescale t factor =
 let decay_check t = t.max_act
 
 (* Incremental variable introduction: extend the index range and insert
-   every fresh variable at activity 0 so it is immediately decidable. *)
+   every fresh variable at activity 0 so it is immediately decidable.
+   Capacity doubles, like the solver's own per-variable arrays, so a
+   run of one-variable [grow]s is amortised O(1). *)
 let grow t ~num_vars =
   if num_vars > t.num_vars then begin
-    let grow_int src fill =
-      let dst = Array.make (num_vars + 1) fill in
-      Array.blit src 0 dst 0 (Array.length src);
-      dst
-    in
-    t.heap <- grow_int t.heap 0 (* slots beyond len are scratch *);
-    t.pos <- grow_int t.pos (-1);
-    t.act <-
-      (let dst = Array.make (num_vars + 1) 0.0 in
-       Array.blit t.act 0 dst 0 (Array.length t.act);
-       dst);
+    if num_vars >= Array.length t.pos then begin
+      let cap = max (num_vars + 1) (2 * Array.length t.pos) in
+      let grown src fill =
+        let dst = Array.make cap fill in
+        Array.blit src 0 dst 0 (Array.length src);
+        dst
+      in
+      t.heap <- grown t.heap 0 (* slots beyond len are scratch *);
+      t.pos <- grown t.pos (-1);
+      t.act <- grown t.act 0.0
+    end;
     for v = t.num_vars + 1 to num_vars do
       insert t v
     done;

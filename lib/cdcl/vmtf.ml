@@ -6,6 +6,7 @@ type t = {
   mutable head : int;
   mutable counter : int;
   mutable search : int; (* start point for pick; 0 = use head *)
+  mutable tail_hint : int; (* where grow starts its walk to the tail *)
 }
 
 let create ~num_vars =
@@ -25,6 +26,7 @@ let create ~num_vars =
     head = (if num_vars >= 1 then 1 else 0);
     counter = num_vars;
     search = 0;
+    tail_hint = num_vars;
   }
 
 let unlink t v =
@@ -68,20 +70,26 @@ let on_unassign t v =
 let front t = t.head
 
 (* Incremental variable introduction: fresh variables join at the back
-   of the queue (least recently used), mirroring the initial order. *)
+   of the queue (least recently used), mirroring the initial order.
+   Capacity doubles, and the walk to the tail starts from the last
+   variable the previous [grow] appended: every variable stays in the
+   queue, so the walk from it reaches the tail, at once when no bump
+   moved it since. A run of one-variable [grow]s is amortised O(1),
+   and [bump] does no extra work. *)
 let grow t ~num_vars =
   if num_vars > t.num_vars then begin
-    let grow_int src =
-      let dst = Array.make (num_vars + 1) 0 in
-      Array.blit src 0 dst 0 (Array.length src);
-      dst
-    in
-    t.prev <- grow_int t.prev;
-    t.next <- grow_int t.next;
-    t.stamp <- grow_int t.stamp;
-    (* Find the current tail by walking from the head; growth is rare
-       enough that the linear scan never shows up. *)
-    let tail = ref t.head in
+    if num_vars >= Array.length t.next then begin
+      let cap = max (num_vars + 1) (2 * Array.length t.next) in
+      let grown src =
+        let dst = Array.make cap 0 in
+        Array.blit src 0 dst 0 (Array.length src);
+        dst
+      in
+      t.prev <- grown t.prev;
+      t.next <- grown t.next;
+      t.stamp <- grown t.stamp
+    end;
+    let tail = ref (if t.tail_hint <> 0 then t.tail_hint else t.head) in
     while !tail <> 0 && t.next.(!tail) <> 0 do
       tail := t.next.(!tail)
     done;
@@ -92,5 +100,6 @@ let grow t ~num_vars =
       if !tail = 0 then t.head <- v else t.next.(!tail) <- v;
       tail := v
     done;
+    t.tail_hint <- num_vars;
     t.num_vars <- num_vars
   end

@@ -38,7 +38,6 @@ type t = {
   on_complete : completion -> unit;
   mutable queue : pending list; (* waiting, oldest first *)
   mutable running : running list;
-  mutable completions : completion list; (* newest first *)
   mutable shed_count : int;
 }
 
@@ -60,7 +59,6 @@ let create ?(jobs = 2) ?max_queue ?(max_retries = 2) ?backoff
     on_complete;
     queue = [];
     running = [];
-    completions = [];
     shed_count = 0;
   }
 
@@ -71,9 +69,9 @@ let observe_depths t =
   Obs.Metrics.set g_queue_depth (float_of_int (queued t));
   Obs.Metrics.set g_in_flight (float_of_int (in_flight t))
 
-let complete t c =
-  t.completions <- c :: t.completions;
-  t.on_complete c
+(* Completions go to [on_complete] only: the pool keeps no record of
+   them, so a long-lived pool holds no finished payload. *)
+let complete t c = t.on_complete c
 
 let submit t ?limits ~id thunk =
   if queued t >= t.max_queue then begin
@@ -181,7 +179,7 @@ let drain t =
   done;
   let not_run = List.map (fun p -> p.p_id) t.queue in
   t.queue <- [];
-  (List.rev t.completions, not_run)
+  not_run
 
 let shed_count t = t.shed_count
 
@@ -190,12 +188,17 @@ type batch = {
   not_run : string list; (* drained before launch (graceful stop) *)
 }
 
-let run_list ?jobs ?max_retries ?backoff ?limits ?should_stop ?on_complete tasks
-    =
+let run_list ?jobs ?max_retries ?backoff ?limits ?should_stop
+    ?(on_complete = fun _ -> ()) tasks =
+  let completions = ref [] in
   let t =
     create ?jobs
       ~max_queue:(max 1 (List.length tasks))
-      ?max_retries ?backoff ?limits ?should_stop ?on_complete ()
+      ?max_retries ?backoff ?limits ?should_stop
+      ~on_complete:(fun c ->
+        completions := c :: !completions;
+        on_complete c)
+      ()
   in
   List.iter (fun (id, thunk) -> ignore (submit t ~id thunk)) tasks;
   (* Run until everything completed, or a stop was requested and the
@@ -208,5 +211,5 @@ let run_list ?jobs ?max_retries ?backoff ?limits ?should_stop ?on_complete tasks
     end
   in
   loop ();
-  let completions, not_run = drain t in
-  { completions; not_run }
+  let not_run = drain t in
+  { completions = List.rev !completions; not_run }

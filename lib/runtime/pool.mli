@@ -52,10 +52,10 @@ val submit :
 val pump : t -> unit
 (** One non-blocking scheduling step: reap, retry, launch. *)
 
-val drain : t -> completion list * string list
+val drain : t -> string list
 (** Block until in-flight workers finish (no new launches beyond what
-    the queue admits before a stop); returns completions in completion
-    order and the ids that never ran. *)
+    the queue admits before a stop); returns the ids that never ran.
+    Completions reach only [on_complete]: the pool keeps none. *)
 
 val in_flight : t -> int
 val queued : t -> int

@@ -15,17 +15,7 @@ let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
 (* Runs inside the forked supervisor worker: parse, solve under the
    request's wall budget, and return a flat-JSON payload the parent
    merges into the response. *)
-let worker_solve ~deadline_s ~inject_marker ~policy dimacs () =
-  (match inject_marker with
-  | Some marker when not (Sys.file_exists marker) ->
-    (* Injected crash for drill scenarios: die on the first attempt,
-       succeed on the retry (the marker outlives this process). *)
-    (try
-       let oc = open_out marker in
-       close_out oc
-     with Sys_error _ -> ());
-    exit 66
-  | _ -> ());
+let worker_solve ~deadline_s ~policy dimacs () =
   match Runtime.Error.protect ~context:"serve.worker" (fun () ->
       let f = Cnf.Dimacs.parse_string dimacs in
       let config =
@@ -65,7 +55,6 @@ type config = {
   deadline : float;
   mem_mb : int option;
   journal : string option;
-  allow_inject : bool;
   selector : Core.Model.t option;
   store : Store.config;
   verbose : bool;
@@ -75,7 +64,6 @@ type pending_req = {
   pr_reply : J.record -> unit;
   pr_user_id : string;
   pr_submitted : float;
-  pr_marker : string option;
   pr_extra : J.record;
       (* Parent-side selection fields (policy, cache, probability)
          merged into the solve response. *)
@@ -126,9 +114,6 @@ let on_pool_complete t (c : Runtime.Pool.completion) =
   | None -> ()
   | Some pr ->
     Hashtbl.remove t.pending c.Runtime.Pool.id;
-    (match pr.pr_marker with
-    | Some m when Sys.file_exists m -> ( try Sys.remove m with Sys_error _ -> ())
-    | _ -> ());
     let latency = Unix.gettimeofday () -. pr.pr_submitted in
     Obs.Metrics.observe h_latency latency;
     let tail =
@@ -245,16 +230,6 @@ let handle_solve t ~id reply fields =
       | Some m when m > 0 -> Some m
       | _ -> t.config.mem_mb
     in
-    let inject_marker =
-      match J.find_string fields "inject" with
-      | Some "crash_once" when t.config.allow_inject ->
-        Some
-          (Filename.concat
-             (Filename.get_temp_dir_name ())
-             (Printf.sprintf "ns-serve-inject-%d-%d" (Unix.getpid ())
-                t.next_req))
-      | _ -> None
-    in
     (* With a selector: select the deletion policy in the parent,
        through the fingerprint-keyed decision cache, and ship the
        chosen policy's name to the worker. A repeated instance costs a
@@ -293,7 +268,6 @@ let handle_solve t ~id reply fields =
         pr_reply = reply;
         pr_user_id = id;
         pr_submitted = Unix.gettimeofday ();
-        pr_marker = inject_marker;
         pr_extra = extra;
         pr_degraded = degraded;
       };
@@ -310,7 +284,45 @@ let handle_solve t ~id reply fields =
     (* Shed submissions complete synchronously through on_pool_complete. *)
     ignore
       (Runtime.Pool.submit t.pool ~limits ~id:pool_id
-         (worker_solve ~deadline_s ~inject_marker ~policy dimacs))
+         (worker_solve ~deadline_s ~policy dimacs))
+
+(* Session input follows the DIMACS clause rule: a clause is decimal
+   integers ending in a single 0 (so "0" is the empty clause), and
+   assumptions are nonzero decimal integers. The check sits here, not in
+   Store.apply, because WAL replay runs through Store.apply and must
+   rebuild the sessions an earlier server acked. *)
+let decimal tok =
+  let n = String.length tok in
+  let first = if n > 0 && tok.[0] = '-' then 1 else 0 in
+  let rec digits i = i = n || (tok.[i] >= '0' && tok.[i] <= '9' && digits (i + 1)) in
+  if n > first && digits first then int_of_string_opt tok else None
+
+let tokens s =
+  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
+  |> String.split_on_char ' '
+  |> List.filter (fun tok -> tok <> "")
+
+let check_clause clause =
+  let rec go = function
+    | [] -> Error "clause does not end in 0"
+    | tok :: rest -> (
+      match (decimal tok, rest) with
+      | None, _ -> Error (Printf.sprintf "unexpected token %S" tok)
+      | Some 0, [] -> Ok ()
+      | Some 0, next :: _ ->
+        Error (Printf.sprintf "unexpected token %S after the clause's 0" next)
+      | Some _, _ -> go rest)
+  in
+  go (tokens clause)
+
+let check_assumptions assumptions =
+  match
+    List.find_opt
+      (fun tok -> match decimal tok with Some 0 | None -> true | Some _ -> false)
+      (tokens assumptions)
+  with
+  | Some tok -> Error (Printf.sprintf "unexpected token %S" tok)
+  | None -> Ok ()
 
 (* Incremental sessions run in-process through the durable
    Session_store; solver budgets (not supervisor deadlines) bound their
@@ -323,22 +335,32 @@ let handle_session t ~id reply fields =
   let key = J.find_string fields "key" in
   let ok rest = reply (base_response ~id ~status:"ok" rest) in
   let err msg = reply (error_response ~id msg) in
+  let invalid msg = Error (Printf.sprintf "session: %s: %s" action msg) in
+  let checked check text op =
+    match check text with Ok () -> Ok op | Error msg -> invalid msg
+  in
   let op =
     match action with
     | "new" ->
       let vars =
         match J.find_int fields "vars" with Some v when v >= 0 -> v | _ -> 0
       in
-      Some (Store.New vars)
-    | "new_var" -> Some Store.New_var
-    | "add" -> Some (Store.Add (field fields "clause"))
-    | "solve" -> Some (Store.Solve (field fields "assumptions"))
-    | "close" -> Some Store.Close
-    | _ -> None
+      Ok (Store.New vars)
+    | "new_var" -> Ok Store.New_var
+    | "add" -> (
+      match J.find_string fields "clause" with
+      | None -> invalid "missing clause field"
+      | Some clause -> checked check_clause clause (Store.Add clause))
+    | "solve" ->
+      let assumptions = field fields "assumptions" in
+      checked check_assumptions assumptions (Store.Solve assumptions)
+    | "close" -> Ok Store.Close
+    | other -> Error (Printf.sprintf "session: unknown action %S" other)
   in
   match (action, op) with
   | "info", _ -> (
-    (* Read-only session probe: the loadtest's lost-op detector. *)
+    (* Read-only session probe: the acked-op count that e2e and the
+       tests compare against their shadow of each session. *)
     match Store.info t.store sid with
     | Some (vars, clauses) ->
       ok
@@ -348,7 +370,8 @@ let handle_session t ~id reply fields =
           ("clauses", J.Int clauses);
         ]
     | None -> err (Printf.sprintf "session: unknown sid %s" sid))
-  | _, Some op -> (
+  | _, Error msg -> err msg
+  | _, Ok op -> (
     let t0 = Unix.gettimeofday () in
     let outcome = Store.apply t.store ?key ~sid op in
     match outcome.Store.reply with
@@ -369,7 +392,6 @@ let handle_session t ~id reply fields =
         else rest
       in
       ok rest)
-  | other, None -> err (Printf.sprintf "session: unknown action %S" other)
 
 let reject ?degraded t ~id reply =
   Obs.Metrics.incr m_rejected;
@@ -423,7 +445,7 @@ let drain t =
   log t "draining: %d in flight, %d queued"
     (Runtime.Pool.in_flight t.pool)
     (Runtime.Pool.queued t.pool);
-  let _completions, not_run = Runtime.Pool.drain t.pool in
+  let not_run = Runtime.Pool.drain t.pool in
   List.iter
     (fun pool_id ->
       match Hashtbl.find_opt t.pending pool_id with

@@ -21,6 +21,11 @@
        "key":"client idempotency key"}
     v}
 
+    An "add" needs a "clause" of decimal integers that ends in a single
+    0 ("0" is the empty clause); "assumptions" are nonzero decimal
+    integers. Other session input gets an error reply that names the
+    bad token, if there is one, and nothing is logged or applied.
+
     Responses echo "id" and carry "status" ("ok" | "error" | "shed" |
     "rejected") and "degraded", which is true exactly on the replies to
     a solve whose policy selection fell back to the default (the model
@@ -38,7 +43,6 @@ type config = {
   deadline : float;  (** Default per-request wall deadline (s). *)
   mem_mb : int option;  (** Default per-worker RLIMIT_AS cap. *)
   journal : string option;  (** One JSONL record per finished request. *)
-  allow_inject : bool;  (** Honour inject:"crash_once" (drills only). *)
   selector : Core.Model.t option;
       (** Select each solve's deletion policy in the parent, through
           the fingerprint-keyed decision cache. *)

@@ -84,8 +84,9 @@ val apply : t -> ?key:string -> sid:string -> op -> outcome
     client can retry with the same [key]. *)
 
 val info : t -> string -> (int * int) option
-(** [(num_vars, clauses added)] for a live session — the loadtest's
-    lost-op detector. Read-only, never logged. *)
+(** [(num_vars, clauses added)] for a live session: what e2e and the
+    tests compare against their shadow of the acked ops. Read-only,
+    never logged. *)
 
 val session_count : t -> int
 
@@ -118,7 +119,9 @@ val close : t -> unit
 
 val lits_of_string : string -> Cnf.Lit.t list
 (** Whitespace-separated DIMACS literals (newlines and tabs count as
-    separators); zeros and junk tokens dropped. *)
+    separators); zeros and junk tokens dropped. This tolerance keeps
+    WAL replay total; {!Server} rejects malformed session input before
+    it reaches {!apply}. *)
 
 val model_to_string : bool array -> string
 val verdict_name : Cdcl.Solver.result -> string

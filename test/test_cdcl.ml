@@ -814,6 +814,37 @@ let test_incremental_new_var_growth () =
   | Cdcl.Solver.Unsat -> ()
   | _ -> Alcotest.fail "chain plus refutation is unsat"
 
+(* A session add introduces variables one new_var at a time, inside
+   the serve loop. A burst of them must stay amortised O(1) under both
+   branching heuristics, not copy every per-variable array per call. *)
+let test_incremental_new_var_burst () =
+  List.iter
+    (fun (name, config) ->
+      let s =
+        Cdcl.Solver.create ~config
+          (Cnf.Formula.of_dimacs_lists ~num_vars:3 [ [ 1; 2; 3 ] ])
+      in
+      let before = Gc.allocated_bytes () in
+      for _ = 1 to 20_000 do
+        ignore (Cdcl.Solver.new_var s)
+      done;
+      let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+      checkb
+        (Printf.sprintf "%s: 20000 new_var calls allocated %.1f MB (< 64)" name
+           mb)
+        true (mb < 64.0);
+      Cdcl.Solver.add_clause s [ Cnf.Lit.neg 1; Cnf.Lit.pos 20_003 ];
+      match Cdcl.Solver.solve s with
+      | Cdcl.Solver.Sat m ->
+        checkb (name ^ ": model valid") true ((not m.(1)) || m.(20_003))
+      | _ -> Alcotest.failf "%s: burst solver must answer sat" name)
+    [
+      ("default", Cdcl.Config.default);
+      ( "vmtf",
+        { Cdcl.Config.default with Cdcl.Config.branching = Cdcl.Config.Vmtf }
+      );
+    ]
+
 let test_incremental_unsat_sticky () =
   let s = Cdcl.Solver.create (Cnf.Formula.create ~num_vars:2 [||]) in
   Cdcl.Solver.add_clause s [ Cnf.Lit.pos 1 ];
@@ -902,6 +933,8 @@ let suite =
         test_incremental_add_clause_flips_verdict;
       Alcotest.test_case "incremental new_var growth" `Quick
         test_incremental_new_var_growth;
+      Alcotest.test_case "incremental new_var burst" `Quick
+        test_incremental_new_var_burst;
       Alcotest.test_case "incremental unsat sticky" `Quick
         test_incremental_unsat_sticky;
       Alcotest.test_case "incremental out-of-range raises" `Quick

@@ -359,11 +359,12 @@ let test_pool_runs_all () =
 
 let test_pool_sheds_on_full_queue () =
   Runtime.Shutdown.reset ();
-  let shed = ref [] in
+  let shed = ref [] and completions = ref [] in
   let pool =
     Runtime.Pool.create ~jobs:1 ~max_queue:1 ~limits:slim
       ~should_stop:(fun () -> false)
       ~on_complete:(fun c ->
+        completions := c :: !completions;
         match c.Runtime.Pool.outcome with
         | Runtime.Pool.Shed -> shed := c.Runtime.Pool.id :: !shed
         | _ -> ())
@@ -378,15 +379,44 @@ let test_pool_sheds_on_full_queue () =
   checkb "at least one submit accepted" true (List.mem `Accepted statuses);
   checkb "shed recorded via on_complete" true (!shed <> []);
   checkb "shed counter agrees" true (Runtime.Pool.shed_count pool >= 1);
-  let completions, not_run = Runtime.Pool.drain pool in
+  let not_run = Runtime.Pool.drain pool in
   checkb "accepted tasks still completed" true
     (List.exists
        (fun (c : Runtime.Pool.completion) ->
          match c.Runtime.Pool.outcome with
          | Runtime.Pool.Done _ -> true
          | _ -> false)
-       completions);
+       !completions);
   checkb "no task stranded" true (not_run = [])
+
+(* ns-serve's pool lives as long as the process, so a finished solve's
+   payload must leave with its on_complete call and not stay reachable
+   from the pool. *)
+let test_pool_keeps_no_payload () =
+  Runtime.Shutdown.reset ();
+  let payload_bytes = 256 * 1024 and tasks = 24 in
+  let done_ = ref 0 in
+  let pool =
+    Runtime.Pool.create ~jobs:2 ~limits:slim
+      ~should_stop:(fun () -> false)
+      ~on_complete:(fun c ->
+        match c.Runtime.Pool.outcome with
+        | Runtime.Pool.Done p when String.length p = payload_bytes -> incr done_
+        | _ -> Alcotest.failf "%s did not return its payload" c.Runtime.Pool.id)
+      ()
+  in
+  for i = 1 to tasks do
+    ignore
+      (Runtime.Pool.submit pool ~id:(string_of_int i) (fun () ->
+           Ok (String.make payload_bytes 'x')))
+  done;
+  checkb "nothing left unrun" true (Runtime.Pool.drain pool = []);
+  checki "every payload delivered" tasks !done_;
+  let bytes = Obj.reachable_words (Obj.repr pool) * (Sys.word_size / 8) in
+  checkb
+    (Printf.sprintf "pool holds %d bytes after %d payloads of %d bytes" bytes
+       tasks payload_bytes)
+    true (bytes < payload_bytes)
 
 let test_pool_graceful_drain_keeps_journal_intact () =
   Runtime.Shutdown.reset ();
@@ -509,6 +539,8 @@ let suite =
     Alcotest.test_case "pool runs all tasks" `Quick test_pool_runs_all;
     Alcotest.test_case "pool sheds on full queue" `Quick
       test_pool_sheds_on_full_queue;
+    Alcotest.test_case "pool keeps no payload" `Quick
+      test_pool_keeps_no_payload;
     Alcotest.test_case "pool graceful drain, journal intact" `Quick
       test_pool_graceful_drain_keeps_journal_intact;
     Alcotest.test_case "shutdown signal flag" `Quick test_shutdown_signal_flag;

@@ -207,7 +207,6 @@ let server_config =
     deadline = 10.0;
     mem_mb = Some 1024;
     journal = None;
-    allow_inject = false;
     selector = None;
     store = Store.default_config;
     verbose = false;
@@ -299,6 +298,45 @@ let test_server_sessions () =
   let info = request srv (session "info" []) in
   checkb "replayed add ran once" true (J.find_int info "clauses" = Some 2)
 
+(* Malformed session input is an error reply. Dropping the bad tokens
+   instead would ack (and WAL-log) the empty clause, a shorter clause
+   or fewer assumptions than the client sent. *)
+let test_server_rejects_malformed_session_input () =
+  let srv = create_server server_config in
+  checks "new" "ok" (status (request srv (session "new" [ ("vars", J.Int 3) ])));
+  checks "add" "ok"
+    (status (request srv (session "add" [ ("clause", J.String "1 2 0") ])));
+  let clauses () = J.find_int (request srv (session "info" [])) "clauses" in
+  let refused what fields =
+    checks what "error" (status (request srv fields));
+    checkb (what ^ ": no clause counted") true (clauses () = Some 1)
+  in
+  let add clause = session "add" [ ("clause", J.String clause) ] in
+  refused "junk token" (add "2x 0");
+  refused "missing clause" (session "add" []);
+  refused "two clauses" (add "1 0 2 0");
+  refused "junk mid-clause" (add "-1 abc 0");
+  refused "no terminating 0" (add "1 2");
+  refused "hex token" (add "0x1 0");
+  refused "junk assumption"
+    (session "solve" [ ("assumptions", J.String "-2 junk") ]);
+  refused "zero assumption" (session "solve" [ ("assumptions", J.String "1 0") ]);
+  checks "the error names the bad token"
+    "session: add: unexpected token \"abc\""
+    (J.find_string (request srv (add "-1 abc 0")) "error");
+  checks "a token after the 0 is named"
+    "session: add: unexpected token \"2\" after the clause's 0"
+    (J.find_string (request srv (add "1 0 2 0")) "error");
+  checks "the session still solves" "sat"
+    (J.find_string (request srv (session "solve" [])) "verdict");
+  checks "assumptions still parse" "sat"
+    (J.find_string
+       (request srv (session "solve" [ ("assumptions", J.String "-1 2") ]))
+       "verdict");
+  checks "0 alone is the empty clause" "ok" (status (request srv (add "0")));
+  checks "the empty clause makes the session unsat" "unsat"
+    (J.find_string (request srv (session "solve" [])) "verdict")
+
 let test_server_pool_solve () =
   let srv = create_server server_config in
   let r =
@@ -349,6 +387,124 @@ let test_server_selector_cache () =
       checkb "probability" true (J.find_float r "probability" <> None))
     [ cold; warm ]
 
+let load_journal path =
+  match J.load path with
+  | Ok (records, 0) -> records
+  | Ok (_, torn) -> Alcotest.failf "journal has %d torn records" torn
+  | Error e -> Alcotest.failf "journal: %s" (Runtime.Error.to_string e)
+
+(* How many replies of each status the client saw. *)
+let tally replies st =
+  Hashtbl.fold (fun _ r n -> if status r = Some st then n + 1 else n) replies 0
+
+(* The drained record closes the journal, and its counters match the
+   client's tallies: [completed] and [rejected] are process-wide
+   counters, so they count from the metrics reply taken before the
+   burst. *)
+let check_drained_matches ~before ~replies journal =
+  match List.rev (load_journal journal) with
+  | last :: _ when J.find_string last "event" = Some "drained" ->
+    let since name =
+      match (J.find_int last name, J.find_int before name) with
+      | Some now, Some was -> Some (now - was)
+      | _ -> None
+    in
+    List.iter
+      (fun (field, st) ->
+        checkb
+          (Printf.sprintf "drained %s matches the %d %s replies" field
+             (tally replies st) st)
+          true
+          (since field = Some (tally replies st)))
+      [ ("completed", "ok"); ("rejected", "rejected"); ("shed", "shed") ]
+  | _ -> Alcotest.fail "journal does not end with a drained record"
+
+let small_instance = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+
+(* Burst and drain, in process. With 2 jobs and a queue of 2, two
+   solves launch, two more wait, and the rest of the burst is shed.
+   A shutdown request before [drain] lets the two in flight finish and
+   rejects the two waiting, so the counts are exact; every request
+   gets exactly one reply and none is an error. *)
+let test_server_burst_sheds_and_drains () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "serve.jsonl" in
+      let srv =
+        create_server
+          { server_config with Server.jobs = 2; max_queue = 2; journal = Some journal }
+      in
+      let before = request srv [ op "metrics" ] in
+      let replies = Hashtbl.create 16 in
+      let submit i =
+        let rid = Printf.sprintf "b%d" i in
+        Server.handle srv
+          ~reply:(fun r -> Hashtbl.add replies rid r)
+          (J.encode [ op "solve"; id rid; ("dimacs", J.String small_instance) ])
+      in
+      submit 0;
+      submit 1;
+      Server.pump srv;
+      for i = 2 to 9 do
+        submit i
+      done;
+      Runtime.Shutdown.request ();
+      Fun.protect ~finally:Runtime.Shutdown.reset (fun () -> Server.drain srv);
+      for i = 0 to 9 do
+        checki
+          (Printf.sprintf "b%d answered exactly once" i)
+          1
+          (List.length (Hashtbl.find_all replies (Printf.sprintf "b%d" i)))
+      done;
+      checki "the two launched solves finished" 2 (tally replies "ok");
+      checki "the two queued solves were rejected" 2 (tally replies "rejected");
+      checki "the overflow was shed, not errored" 6 (tally replies "shed");
+      let journaled = load_journal journal in
+      Hashtbl.iter
+        (fun rid r ->
+          checkb (rid ^ " journaled once with its reply's status") true
+            (List.filter_map
+               (fun j ->
+                 if J.find_string j "id" = Some rid then Some (status j)
+                 else None)
+               journaled
+            = [ status r ]))
+        replies;
+      check_drained_matches ~before ~replies journal)
+
+(* A worker that dies mid-solve is retried. Worker_crash is decided in
+   the parent before the fork, so arming it with a limit of one kills
+   exactly the first worker: the solve answers ok on attempt 2, the
+   metrics count one retry, and the journal holds the request once. *)
+let test_server_worker_crash_retried () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "serve.jsonl" in
+      let srv = create_server { server_config with Server.journal = Some journal } in
+      let retries () =
+        J.find_int (request srv [ op "metrics" ]) "worker_retries"
+      in
+      let before = retries () in
+      let r =
+        Fun.protect ~finally:Runtime.Fault.disarm (fun () ->
+            Runtime.Fault.arm ~seed:7 ~limit:1 [ Runtime.Fault.Worker_crash ];
+            let r =
+              request_pumped srv
+                [ op "solve"; id "crashy"; ("dimacs", J.String small_instance) ]
+            in
+            checki "the crash fired once" 1
+              (Runtime.Fault.fired_count Runtime.Fault.Worker_crash);
+            r)
+      in
+      checks "the retried solve answers ok" "ok" (status r);
+      checks "with a verdict" "sat" (J.find_string r "verdict");
+      checkb "on its second attempt" true (J.find_int r "attempts" = Some 2);
+      checkb "metrics count one worker retry" true
+        (retries () = Option.map succ before);
+      checki "the journal holds the request once" 1
+        (List.length
+           (List.filter
+              (fun j -> J.find_string j "id" = Some "crashy")
+              (load_journal journal))))
+
 (* [degraded] belongs to the request. A formula without variables is a
    per-request model failure: each such solve falls back and says so,
    and none of them changes the next instance's decision or any other
@@ -382,71 +538,98 @@ let connect path =
   Unix.connect fd (Unix.ADDR_UNIX path);
   { fd; reader = Runtime.Frame.create_reader () }
 
+let send c fields = Runtime.Frame.write c.fd (J.encode fields)
+
+(* The next reply frame; [None] when the server closed the connection
+   or went silent for [timeout] seconds. *)
+let recv ?(timeout = 30.0) c =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec wait () =
+    match Runtime.Frame.next c.reader with
+    | Some payload -> Some payload
+    | None -> (
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0.0 then None
+      else
+        match Unix.select [ c.fd ] [] [] left with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+        | [], _, _ -> None
+        | _ -> (
+          match Runtime.Frame.read_into c.reader c.fd with
+          | `Eof -> None
+          | `Data | `Blocked -> wait ()))
+  in
+  wait ()
+
 (* Send a request and wait for the next reply frame; [None] when the
    server closed the connection or went silent. *)
-let rpc ?(timeout = 30.0) c fields =
-  match Runtime.Frame.write c.fd (J.encode fields) with
+let rpc ?timeout c fields =
+  match send c fields with
   | exception Unix.Unix_error _ -> None
-  | () ->
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec wait () =
-      match Runtime.Frame.next c.reader with
-      | Some payload -> Some payload
-      | None -> (
-        let left = deadline -. Unix.gettimeofday () in
-        if left <= 0.0 then None
-        else
-          match Unix.select [ c.fd ] [] [] left with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-          | [], _, _ -> None
-          | _ -> (
-            match Runtime.Frame.read_into c.reader c.fd with
-            | `Eof -> None
-            | `Data | `Blocked -> wait ()))
-    in
-    wait ()
+  | () -> recv ?timeout c
 
 let rpc_fields c fields = Option.bind (rpc c fields) J.parse_line
 
-(* Serve a fresh listening socket from a forked child, run [f] on its
-   path as the client side, then SIGTERM the child: returns how it
-   ended (the drain contract says exit 0). *)
-let with_served_socket f =
+(* Fork a server for [config] on a fresh listening socket at [path] and
+   return its pid. The child exits 0 after a clean drain, 2 if the
+   server raised (a failed WAL recovery included). *)
+let fork_server config path =
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 8;
+  Unix.set_nonblock lfd;
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Runtime.Shutdown.reset ();
+        Runtime.Shutdown.install ();
+        Server.serve (create_server config) ~listener:lfd [];
+        0
+      with _ -> 2
+    in
+    Unix._exit code
+  | pid ->
+    Unix.close lfd;
+    pid
+
+(* Run [f ~spawn ~reap] with SIGPIPE ignored, so a dead server fails
+   the test instead of killing the test runner. [spawn config path]
+   forks a server and [reap pid] waits for its exit status; a server
+   still unreaped when [f] returns or raises is SIGKILLed and reaped. *)
+let with_forked_servers f =
+  let live = ref [] in
+  let spawn config path =
+    let pid = fork_server config path in
+    live := pid :: !live;
+    pid
+  in
+  let reap pid =
+    live := List.filter (( <> ) pid) !live;
+    snd (Unix.waitpid [] pid)
+  in
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !live)
+    (fun () -> f ~spawn ~reap)
+
+(* Serve a fresh listening socket from a forked child, run [f path pid]
+   as the client side, then SIGTERM the child: returns [f]'s result and
+   how the child ended (the drain contract says exit 0). *)
+let with_served_socket ?(config = server_config) f =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "serve.sock" in
-      let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind lfd (Unix.ADDR_UNIX path);
-      Unix.listen lfd 8;
-      Unix.set_nonblock lfd;
-      match Unix.fork () with
-      | 0 ->
-        let code =
-          try
-            Runtime.Shutdown.reset ();
-            Runtime.Shutdown.install ();
-            Server.serve (create_server server_config) ~listener:lfd [];
-            0
-          with _ -> 2
-        in
-        Unix._exit code
-      | pid ->
-        Unix.close lfd;
-        (* A dead server must fail the test, not kill the test runner. *)
-        let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-        let reaped = ref false in
-        Fun.protect
-          ~finally:(fun () ->
-            Sys.set_signal Sys.sigpipe sigpipe;
-            if not !reaped then begin
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid)
-            end)
-          (fun () ->
-            f path;
-            Unix.kill pid Sys.sigterm;
-            let _, st = Unix.waitpid [] pid in
-            reaped := true;
-            st))
+      with_forked_servers (fun ~spawn ~reap ->
+          let pid = spawn config path in
+          let result = f path pid in
+          Unix.kill pid Sys.sigterm;
+          (result, reap pid)))
 
 (* EOF on a client's input stops reading it, not answering it: a
    half-closed client still gets every reply it is owed, and then the
@@ -483,8 +666,8 @@ let test_server_answers_after_eof () =
    the reply's write into EPIPE. The server must drop that client only:
    without SIGPIPE ignored it dies on the write. *)
 let test_server_survives_peer_that_stops_reading () =
-  let exit_status =
-    with_served_socket (fun path ->
+  let (), exit_status =
+    with_served_socket (fun path _ ->
         let stalled = connect path in
         Runtime.Frame.write stalled.fd
           (J.encode [ op "solve"; ("dimacs", J.String "p cnf 2 1\n1 2 0\n") ]);
@@ -516,8 +699,8 @@ let test_server_survives_peer_that_stops_reading () =
    peer whole: a non-blocking socket tears it at the first EAGAIN. *)
 let test_server_large_reply_whole () =
   let vars = 700_000 in
-  let exit_status =
-    with_served_socket (fun path ->
+  let (), exit_status =
+    with_served_socket (fun path _ ->
         let c = connect path in
         checkb "new session" true
           (Option.bind (rpc_fields c (session "new" [ ("vars", J.Int vars) ])) status
@@ -538,6 +721,246 @@ let test_server_large_reply_whole () =
   in
   checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
 
+(* Burst and drain over real sockets. Four clients overflow 2 jobs
+   and a queue of 2 with solves that run for their 1 s deadline, and
+   the server is SIGTERMed while they are in flight. Each client's
+   burst ends with a metrics request: frames on one connection are
+   handled in order, so its reply means every solve before it was read.
+   Every solve is then answered exactly once (ok, shed or rejected,
+   never error), the journal's drained record matches the client's
+   tallies, and the server exits 0. *)
+let test_server_sigterm_mid_burst () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "serve.jsonl" in
+      let config =
+        { server_config with Server.jobs = 2; max_queue = 2; journal = Some journal }
+      in
+      let hard =
+        Cnf.Dimacs.to_string (Gen.Pigeonhole.generate ~pigeons:12 ~holes:11)
+      in
+      let (before, replies), exit_status =
+        with_served_socket ~config (fun path pid ->
+            let clients = List.init 4 (fun _ -> connect path) in
+            let before =
+              match rpc_fields (List.hd clients) [ op "metrics" ] with
+              | Some m -> m
+              | None -> Alcotest.fail "no metrics reply before the burst"
+            in
+            List.iteri
+              (fun k c ->
+                for j = 0 to 2 do
+                  send c
+                    [
+                      op "solve";
+                      id (Printf.sprintf "c%d-%d" k j);
+                      ("dimacs", J.String hard);
+                      ("deadline_s", J.Float 1.0);
+                    ]
+                done;
+                send c [ op "metrics"; id "read" ])
+              clients;
+            let replies = Hashtbl.create 16 in
+            (* Collect solve replies until [stop] says so or the server
+               closes the connection. *)
+            let rec collect c stop =
+              match Option.bind (recv c) J.parse_line with
+              | None -> ()
+              | Some r when stop r -> ()
+              | Some r ->
+                Option.iter
+                  (fun rid -> Hashtbl.add replies rid r)
+                  (J.find_string r "id");
+                collect c stop
+            in
+            List.iter
+              (fun c -> collect c (fun r -> J.find_string r "id" = Some "read"))
+              clients;
+            Unix.kill pid Sys.sigterm;
+            List.iter
+              (fun c ->
+                collect c (fun _ -> false);
+                Unix.close c.fd)
+              clients;
+            (before, replies))
+      in
+      checkb "the server drained and exited 0" true
+        (exit_status = Unix.WEXITED 0);
+      for k = 0 to 3 do
+        for j = 0 to 2 do
+          let rid = Printf.sprintf "c%d-%d" k j in
+          match Hashtbl.find_all replies rid with
+          | [ r ] ->
+            checkb (rid ^ " is ok, shed or rejected") true
+              (List.mem (status r) [ Some "ok"; Some "shed"; Some "rejected" ])
+          | rs -> Alcotest.failf "%s got %d replies" rid (List.length rs)
+        done
+      done;
+      checkb "the overflow was shed" true (tally replies "shed" > 0);
+      checkb "solves in flight at SIGTERM finished" true (tally replies "ok" > 0);
+      checkb "queued solves were rejected" true (tally replies "rejected" > 0);
+      check_drained_matches ~before ~replies journal)
+
+(* Shadow of one durable session, updated only on acks: what a server
+   restarted on the same WAL must still know. *)
+type shadow = {
+  sid : string;
+  mutable vars : int;
+  mutable clauses : int list list; (* newest first *)
+}
+
+let clause_string lits =
+  String.concat " " (List.map string_of_int (lits @ [ 0 ]))
+
+(* A fresh solver's verdict over the shadow's clauses. *)
+let shadow_verdict sh =
+  Store.verdict_name
+    (Cdcl.Solver.solve
+       (Cdcl.Solver.create
+          (Cnf.Formula.of_dimacs_lists ~num_vars:sh.vars sh.clauses)))
+
+(* Keyed op [i] on [sh]: its wire fields, and what an ack of it does to
+   the shadow. Most ops add a 3-literal clause that sometimes names the
+   next variable, so replay must reproduce auto-introduction; [~add]
+   forces an add. *)
+let shadow_op rng ?(add = false) sh i =
+  let key = ("key", J.String (Printf.sprintf "k%d" i)) in
+  let u = Util.Rng.uniform rng 0.0 1.0 in
+  if sh.vars = 0 then
+    (session ~sid:sh.sid "new" [ ("vars", J.Int 4); key ], fun () -> sh.vars <- 4)
+  else if (not add) && u < 0.1 then
+    (session ~sid:sh.sid "solve" [ key ], fun () -> ())
+  else if (not add) && u < 0.15 then
+    (session ~sid:sh.sid "new_var" [ key ], fun () -> sh.vars <- sh.vars + 1)
+  else
+    let lit () =
+      let v =
+        if Util.Rng.uniform rng 0.0 1.0 < 0.2 then sh.vars + 1
+        else Util.Rng.int_in rng 1 sh.vars
+      in
+      if Util.Rng.bool rng then v else -v
+    in
+    let lits = [ lit (); lit (); lit () ] in
+    ( session ~sid:sh.sid "add" [ ("clause", J.String (clause_string lits)); key ],
+      fun () ->
+        sh.vars <- List.fold_left (fun m l -> max m (abs l)) sh.vars lits;
+        sh.clauses <- lits :: sh.clauses )
+
+(* The ok reply to [fields]; any other outcome fails [what]. *)
+let ack c what fields =
+  match rpc_fields c fields with
+  | Some r when status r = Some "ok" -> r
+  | Some r ->
+    Alcotest.failf "%s: %s" what
+      (Option.value (J.find_string r "error") ~default:"not ok")
+  | None -> Alcotest.failf "%s: no reply" what
+
+(* The body of the SIGKILL drill below, against servers forked by
+   [spawn] on a WAL in [wal_dir]. *)
+let sigkill_drill ~wal_dir ~sock_dir ~spawn ~reap =
+  let config =
+    {
+      server_config with
+      Server.store =
+        { Store.default_config with Store.wal_dir = Some wal_dir; snapshot_every = 16 };
+    }
+  in
+  let incarnation = ref 0 and pid = ref 0 in
+  let start () =
+    incr incarnation;
+    let path = Filename.concat sock_dir (Printf.sprintf "s%d.sock" !incarnation) in
+    pid := spawn config path;
+    connect path
+  in
+  let conn = ref (start ()) in
+  let sigkill () =
+    Unix.kill !pid Sys.sigkill;
+    checkb "the server died of SIGKILL" true (reap !pid = Unix.WSIGNALED Sys.sigkill);
+    Unix.close !conn.fd;
+    conn := start ()
+  in
+  let shadows =
+    Array.init 4 (fun i -> { sid = Printf.sprintf "s%d" i; vars = 0; clauses = [] })
+  in
+  let rng = Util.Rng.create 11 in
+  let op ?add i = shadow_op rng ?add shadows.(i mod Array.length shadows) i in
+  let check_sessions after =
+    Array.iter
+      (fun sh ->
+        let r = ack !conn (after ^ ": info") (session ~sid:sh.sid "info" []) in
+        checkb
+          (Printf.sprintf "%s: %s has %d vars and %d clauses" after sh.sid
+             sh.vars (List.length sh.clauses))
+          true
+          (J.find_int r "vars" = Some sh.vars
+          && J.find_int r "clauses" = Some (List.length sh.clauses)))
+      shadows
+  in
+  let retry what fields =
+    let r = ack !conn what fields in
+    checkb (what ^ ": answered from the dedup cache") true
+      (J.find_bool r "replayed" = Some true)
+  in
+  for i = 0 to 59 do
+    match i with
+    | 20 ->
+      (* Killed right after the ack. *)
+      let fields, apply = op ~add:true i in
+      ignore (ack !conn "op 20" fields);
+      apply ();
+      sigkill ();
+      retry "op 20 after the first kill" fields;
+      check_sessions "after the first kill"
+    | 40 ->
+      (* Killed with the op written and its reply unread; the reply
+         being readable shows that the op was acked. *)
+      let fields, apply = op ~add:true i in
+      send !conn fields;
+      checkb "op 40 acked before the kill" true
+        (match Unix.select [ !conn.fd ] [] [] 30.0 with
+        | [ _ ], _, _ -> true
+        | _ -> false);
+      sigkill ();
+      retry "op 40 after the second kill" fields;
+      apply ();
+      check_sessions "after the second kill"
+    | _ ->
+      let fields, apply = op i in
+      ignore (ack !conn (Printf.sprintf "op %d" i) fields);
+      apply ()
+  done;
+  let s0 = shadows.(0) in
+  List.iter
+    (fun lits ->
+      let clause = ("clause", J.String (clause_string lits)) in
+      ignore (ack !conn "unsat add" (session ~sid:s0.sid "add" [ clause ]));
+      s0.clauses <- lits :: s0.clauses)
+    [ [ 1 ]; [ -1 ] ];
+  checks "session s0 was made unsat" "unsat" (Some (shadow_verdict s0));
+  Array.iter
+    (fun sh ->
+      let r = ack !conn "final solve" (session ~sid:sh.sid "solve" []) in
+      checks
+        (Printf.sprintf "%s: verdict after the restarts" sh.sid)
+        (shadow_verdict sh) (J.find_string r "verdict"))
+    shadows;
+  Unix.close !conn.fd;
+  Unix.kill !pid Sys.sigterm;
+  checkb "the last server drained and exited 0" true (reap !pid = Unix.WEXITED 0)
+
+(* SIGKILL and restart over a WAL. Keyed session ops run against a
+   forked server, and each acked op is mirrored in a shadow. The
+   server is SIGKILLed twice: once right after an ack, and once with
+   an op written and its reply unread. Each time, a server restarted
+   on the same directory receives that op again under the same key and
+   must answer it from its rebuilt dedup cache; every session's [info]
+   must then match the shadow (no acked op lost, the retried op counted
+   once). Finally one session is made unsat, and every session's
+   verdict must equal a fresh solver's over the shadow's clauses. *)
+let test_server_sigkill_restart_over_wal () =
+  with_temp_dir (fun wal_dir ->
+      with_temp_dir (fun sock_dir ->
+          with_forked_servers (sigkill_drill ~wal_dir ~sock_dir)))
+
 let suite =
   [
     Alcotest.test_case "volatile session lifecycle" `Quick
@@ -555,8 +978,14 @@ let suite =
       test_server_ping_and_metrics;
     Alcotest.test_case "server error replies" `Quick test_server_errors;
     Alcotest.test_case "server sessions and keys" `Quick test_server_sessions;
+    Alcotest.test_case "server rejects malformed session input" `Quick
+      test_server_rejects_malformed_session_input;
     Alcotest.test_case "server pool solve" `Quick test_server_pool_solve;
     Alcotest.test_case "server drain rejects" `Quick test_server_drain_rejects;
+    Alcotest.test_case "server burst sheds and drains" `Quick
+      test_server_burst_sheds_and_drains;
+    Alcotest.test_case "server worker crash retried" `Quick
+      test_server_worker_crash_retried;
     Alcotest.test_case "server degraded per request" `Quick
       test_server_degraded_per_request;
     Alcotest.test_case "server selector cache" `Quick
@@ -567,4 +996,8 @@ let suite =
       test_server_survives_peer_that_stops_reading;
     Alcotest.test_case "server large reply whole" `Quick
       test_server_large_reply_whole;
+    Alcotest.test_case "server sigterm mid burst" `Quick
+      test_server_sigterm_mid_burst;
+    Alcotest.test_case "server sigkill restart over wal" `Quick
+      test_server_sigkill_restart_over_wal;
   ]
