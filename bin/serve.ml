@@ -23,21 +23,10 @@ let load_selector checkpoint =
   model
 
 let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
-    wal wal_group_commit snapshot_every max_sessions session_ttl adaptive
-    checkpoint verbose =
+    wal snapshot_every max_sessions session_ttl adaptive checkpoint verbose =
   Runtime.Shutdown.install ();
   let store =
-    {
-      Store.default_config with
-      Store.wal_dir = wal;
-      fsync =
-        (match wal_group_commit with
-        | Some s when s > 0.0 -> Runtime.Wal.Group_commit s
-        | _ -> Runtime.Wal.Per_record);
-      snapshot_every;
-      max_sessions;
-      session_ttl;
-    }
+    { Store.wal_dir = wal; snapshot_every; max_sessions; session_ttl }
   in
   let selector = if adaptive then Some (load_selector checkpoint) else None in
   let config =
@@ -168,16 +157,6 @@ let wal =
            replays the log so acked ops survive a crash. Omit for volatile \
            in-memory sessions.")
 
-let wal_group_commit =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "wal-group-commit" ] ~docv:"SECONDS"
-        ~doc:
-          "Group-commit fsync interval: batch WAL fsyncs at most this far \
-           apart instead of fsyncing every record. Trades the tail of the \
-           durability window for throughput. Default: fsync per record.")
-
 let snapshot_every =
   Arg.(
     value & opt int 256
@@ -232,7 +211,7 @@ let cmd =
     (Cmd.info "ns-serve" ~doc)
     Term.(
       const run $ socket $ stdio $ jobs $ max_queue $ max_retries $ deadline
-      $ mem_mb $ journal $ pidfile $ wal $ wal_group_commit $ snapshot_every
-      $ max_sessions $ session_ttl $ adaptive $ checkpoint $ verbose)
+      $ mem_mb $ journal $ pidfile $ wal $ snapshot_every $ max_sessions
+      $ session_ttl $ adaptive $ checkpoint $ verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -3,22 +3,13 @@ type restart_mode =
   | Luby of int
   | Glucose of { fast_alpha : float; slow_alpha : float; margin : float }
 
-type branching =
-  | Evsids
-  | Vmtf
-
 type t = {
   policy : Policy.t;
-  branching : branching;
   restart_mode : restart_mode;
-  var_decay : float;
-  clause_decay : float;
   reduce_first : int;
   reduce_inc : int;
   reduce_fraction : float;
   tier1_glue : int;
-  phase_saving : bool;
-  minimize : bool;
   max_conflicts : int option;
   max_propagations : int option;
   max_wall_seconds : float option;
@@ -35,16 +26,11 @@ type t = {
 let default =
   {
     policy = Policy.Default;
-    branching = Evsids;
     restart_mode = Luby 100;
-    var_decay = 0.95;
-    clause_decay = 0.999;
     reduce_first = 100;
     reduce_inc = 50;
     reduce_fraction = 0.5;
     tier1_glue = 2;
-    phase_saving = true;
-    minimize = true;
     max_conflicts = None;
     max_propagations = None;
     max_wall_seconds = None;
@@ -57,6 +43,9 @@ let default =
     inprocess_vivify = true;
     inprocess_subsume = true;
   }
+
+let var_decay = 0.95
+let clause_decay = 0.999
 
 let with_policy policy t = { t with policy }
 

@@ -1,4 +1,6 @@
-(** Solver configuration. *)
+(** Solver configuration. Search always runs EVSIDS branching, phase
+    saving and recursive learned-clause minimisation, with the fixed
+    decays {!var_decay} and {!clause_decay}. *)
 
 type restart_mode =
   | No_restarts
@@ -8,22 +10,13 @@ type restart_mode =
   | Glucose of { fast_alpha : float; slow_alpha : float; margin : float }
       (** Restart when [fast_ema(lbd) > margin * slow_ema(lbd)]. *)
 
-type branching =
-  | Evsids  (** Exponential VSIDS with an activity heap (default). *)
-  | Vmtf  (** Variable-move-to-front queue (Kissat's focused mode). *)
-
 type t = {
   policy : Policy.t;  (** Clause-deletion policy used at each reduce. *)
-  branching : branching;
   restart_mode : restart_mode;
-  var_decay : float;  (** EVSIDS decay, e.g. 0.95. *)
-  clause_decay : float;  (** Clause-activity decay, e.g. 0.999. *)
   reduce_first : int;  (** Conflicts before the first reduce. *)
   reduce_inc : int;  (** Additional conflicts between successive reduces. *)
   reduce_fraction : float;  (** Fraction of reducible clauses deleted. *)
   tier1_glue : int;  (** Clauses with glue <= tier1 are never deleted. *)
-  phase_saving : bool;
-  minimize : bool;  (** Recursive learned-clause minimisation. *)
   max_conflicts : int option;  (** Budget; [None] = unlimited. *)
   max_propagations : int option;  (** Budget; [None] = unlimited. *)
   max_wall_seconds : float option;
@@ -57,6 +50,12 @@ val default : t
     reduce at 100 conflicts growing by 50 (a schedule scaled to the
     laptop-size instances this reproduction runs on), delete 50%,
     tier1 glue 2. *)
+
+val var_decay : float
+(** EVSIDS activity decay per conflict: 0.95. *)
+
+val clause_decay : float
+(** Clause-activity decay per conflict: 0.999. *)
 
 val with_policy : Policy.t -> t -> t
 

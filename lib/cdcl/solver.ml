@@ -84,7 +84,6 @@ type t = {
   mutable arena_gcs : int;
   (* heuristics *)
   order : Var_heap.t;
-  vmtf : Vmtf.t option;
   mutable var_inc : float;
   mutable cla_inc : float;
   restart : restart_state;
@@ -332,16 +331,13 @@ let propagate t =
 (* --- activity management ------------------------------------------- *)
 
 let var_bump t v =
-  (match t.vmtf with
-  | Some q -> Vmtf.bump q v
-  | None -> ());
   Var_heap.bump t.order v t.var_inc;
   if Var_heap.decay_check t.order > 1e100 then begin
     Var_heap.rescale t.order 1e-100;
     t.var_inc <- t.var_inc *. 1e-100
   end
 
-let var_decay t = t.var_inc <- t.var_inc /. t.cfg.var_decay
+let var_decay t = t.var_inc <- t.var_inc /. Config.var_decay
 
 let cla_bump t c =
   let a = t.arena in
@@ -354,7 +350,7 @@ let cla_bump t c =
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
-let cla_decay t = t.cla_inc <- t.cla_inc /. t.cfg.clause_decay
+let cla_decay t = t.cla_inc <- t.cla_inc /. Config.clause_decay
 
 (* --- LBD ------------------------------------------------------------ *)
 
@@ -405,18 +401,14 @@ let backtrack_gen t ~save_phase target_level =
       Array.unsafe_set values idx 0;
       Array.unsafe_set values (idx lxor 1) 0;
       Array.unsafe_set reason v (-1);
-      Var_heap.insert t.order v;
-      match t.vmtf with
-      | Some q -> Vmtf.on_unassign q v
-      | None -> ()
+      Var_heap.insert t.order v
     done;
     Vec.shrink t.trail bound;
     Vec.shrink t.trail_lim target_level;
     t.qhead <- bound
   end
 
-let backtrack t target_level =
-  backtrack_gen t ~save_phase:t.cfg.phase_saving target_level
+let backtrack t target_level = backtrack_gen t ~save_phase:true target_level
 
 (* Vivification probes must not pollute the saved phases that guide
    search decisions. *)
@@ -560,19 +552,15 @@ let analyze t confl =
   Vec.clear t.analyze_toclear;
   Vec.iter (fun l -> Vec.push t.analyze_toclear l) learnt;
   let before = Vec.length learnt in
-  if t.cfg.minimize then begin
-    let abstract_levels =
-      Vec.fold
-        (fun acc l -> acc lor abstract_level t (Lit.var l))
-        0 learnt
-    in
-    let keep l =
-      Lit.equal l asserting
-      || t.reason.(Lit.var l) < 0
-      || not (lit_redundant t l abstract_levels)
-    in
-    Vec.filter_in_place keep learnt
-  end;
+  let abstract_levels =
+    Vec.fold (fun acc l -> acc lor abstract_level t (Lit.var l)) 0 learnt
+  in
+  let keep l =
+    Lit.equal l asserting
+    || t.reason.(Lit.var l) < 0
+    || not (lit_redundant t l abstract_levels)
+  in
+  Vec.filter_in_place keep learnt;
   t.stats.minimized_literals <- t.stats.minimized_literals + (before - Vec.length learnt);
   (* Clear all seen marks. *)
   Vec.iter (fun l -> t.seen.(Lit.var l) <- 0) t.analyze_toclear;
@@ -1320,10 +1308,6 @@ let create ?(config = Config.default) formula =
       next_cid = 0;
       arena_gcs = 0;
       order = Var_heap.create ~num_vars:n;
-      vmtf =
-        (match config.branching with
-        | Config.Evsids -> None
-        | Config.Vmtf -> Some (Vmtf.create ~num_vars:n));
       var_inc = 1.0;
       cla_inc = 1.0;
       restart = make_restart_state config;
@@ -1435,7 +1419,6 @@ let new_var t =
   grow_var_arrays t v;
   t.n <- v;
   Var_heap.grow t.order ~num_vars:v;
-  (match t.vmtf with Some q -> Vmtf.grow q ~num_vars:v | None -> ());
   (* Unsat is monotone under variable introduction; a cached model does
      not cover the fresh variable, so it is dropped. *)
   (match t.answer with
@@ -1546,17 +1529,12 @@ let install_learnt t glue =
 
 (* --- decisions --------------------------------------------------------- *)
 
-let rec pick_from_heap t =
+let rec pick_branch_var t =
   if Var_heap.is_empty t.order then None
   else begin
     let v = Var_heap.remove_max t.order in
-    if not (var_assigned t v) then Some v else pick_from_heap t
+    if not (var_assigned t v) then Some v else pick_branch_var t
   end
-
-let pick_branch_var t =
-  match t.vmtf with
-  | Some q -> Vmtf.pick q ~assigned:(fun v -> var_assigned t v)
-  | None -> pick_from_heap t
 
 let decide t v =
   t.stats.decisions <- t.stats.decisions + 1;

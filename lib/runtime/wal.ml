@@ -21,8 +21,6 @@ let snap_magic = "NSSNAP1 "
 let record_header_len = 7 + 12 + 1 + 8 + 1 + 8 + 1
 let snap_header_len = 8 + 12 + 1 + 8 + 1 + 8 + 1
 
-type fsync_policy = Per_record | Group_commit of float
-
 type recovery = {
   snapshot : (int * string) option;
   records : (int * string) list;
@@ -33,7 +31,6 @@ type recovery = {
 
 type t = {
   dir : string;
-  fsync : fsync_policy;
   segment_bytes : int;
   mutable fd : Unix.file_descr;
   mutable seg_size : int; (* bytes in the current segment *)
@@ -41,8 +38,7 @@ type t = {
   mutable segs : (int * string) list; (* (start lsn, path), ascending *)
   mutable next_lsn : int;
   mutable snap_lsn : int;
-  mutable dirty : bool;
-  mutable last_sync : float;
+  mutable dirty : bool; (* written but not yet fsynced *)
   mutable broken : bool; (* poisoned by a torn append *)
   mutable closed : bool;
 }
@@ -163,7 +159,7 @@ let load_snapshot path =
 
 (* --- open + recovery ---------------------------------------------------- *)
 
-let open_dir ?(fsync = Per_record) ?(segment_bytes = 4 * 1024 * 1024) dir =
+let open_dir ?(segment_bytes = 4 * 1024 * 1024) dir =
   match
     ensure_dir dir;
     ignore (Atomic_file.sweep_stale dir);
@@ -291,7 +287,6 @@ let open_dir ?(fsync = Per_record) ?(segment_bytes = 4 * 1024 * 1024) dir =
     let t =
       {
         dir;
-        fsync;
         segment_bytes = max 4096 segment_bytes;
         fd;
         seg_size;
@@ -300,7 +295,6 @@ let open_dir ?(fsync = Per_record) ?(segment_bytes = 4 * 1024 * 1024) dir =
         next_lsn;
         snap_lsn;
         dirty = false;
-        last_sync = Unix.gettimeofday ();
         broken = false;
         closed = false;
       }
@@ -322,32 +316,12 @@ let open_dir ?(fsync = Per_record) ?(segment_bytes = 4 * 1024 * 1024) dir =
 
 (* --- appending ---------------------------------------------------------- *)
 
+(* Every successful append fsyncs before it returns, so the log is
+   dirty only after an injected crash between write and fsync; the
+   next append, rotation, snapshot or close fsyncs that record too. *)
 let do_fsync t =
   Unix.fsync t.fd;
-  t.dirty <- false;
-  t.last_sync <- Unix.gettimeofday ()
-
-let sync t =
-  if t.closed then Error (io ~dir:t.dir ~op:"wal-sync" "log closed")
-  else
-    match if t.dirty then do_fsync t with
-    | () -> Ok ()
-    | exception e -> Error (io ~dir:t.dir ~op:"wal-sync" (Printexc.to_string e))
-
-let dirty t = t.dirty
-
-(* [append] only fsyncs opportunistically when a later append arrives;
-   callers drive this from their event loop so a traffic pause cannot
-   leave acked-but-unsynced records behind past the configured
-   interval. *)
-let maybe_sync t =
-  match t.fsync with
-  | Group_commit interval
-    when t.dirty && (not t.closed)
-         && Unix.gettimeofday () -. t.last_sync >= interval ->
-    sync t
-  | Per_record when t.dirty && not t.closed -> sync t
-  | _ -> Ok ()
+  t.dirty <- false
 
 let rotate_if_full t =
   if t.seg_records > 0 && t.seg_size >= t.segment_bytes then begin
@@ -393,10 +367,7 @@ let append t payload =
             (Error.Injected_fault
                { point = Fault.name Fault.Wal_crash_before_fsync })
         else begin
-          (match t.fsync with
-          | Per_record -> do_fsync t
-          | Group_commit interval ->
-            if Unix.gettimeofday () -. t.last_sync >= interval then do_fsync t);
+          do_fsync t;
           Ok lsn
         end
       end
@@ -459,9 +430,9 @@ let snapshot t payload =
     else
       (* The snapshot must never claim more than is durable in the
          segments it is about to replace. *)
-      match sync t with
-      | Error e -> Error e
-      | Ok () -> (
+      match if t.dirty then do_fsync t with
+      | exception e -> Error (io ~dir:t.dir ~op:"wal-sync" (Printexc.to_string e))
+      | () -> (
         match Atomic_file.write path content with
         | Error e -> Error e
         | Ok () ->

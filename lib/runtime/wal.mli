@@ -7,11 +7,11 @@
     payload, so recovery can tell a complete record from the torn tail
     a crash (or power loss) leaves behind.
 
-    Durability contract: a record is durable once {!append} has
-    returned under the {!Per_record} policy, or once {!sync} has
-    returned under {!Group_commit}. "Acked implies durable" at a higher
-    layer means: do not acknowledge an operation to a client before the
-    corresponding append (and, for group commit, sync) has returned.
+    Durability contract: every {!append} fsyncs its record before it
+    returns [Ok], so a record is durable once its append has returned.
+    "Acked implies durable" at a higher layer means: do not acknowledge
+    an operation to a client before the corresponding append has
+    returned.
 
     Recovery ({!open_dir}) loads the newest CRC-valid snapshot (corrupt
     snapshots fall back to older ones), then scans segments in LSN
@@ -23,14 +23,6 @@
     crash mid-snapshot never loses the previous one. *)
 
 type t
-
-type fsync_policy =
-  | Per_record  (** fsync before every append returns (default). *)
-  | Group_commit of float
-      (** fsync at most every [interval] seconds; appends inside the
-          window are buffered by the OS and may be lost on a crash
-          until {!sync} returns. The throughput/durability tradeoff is
-          the caller's to surface. *)
 
 type recovery = {
   snapshot : (int * string) option;
@@ -45,11 +37,7 @@ type recovery = {
       (** Snapshot files that failed CRC/format validation. *)
 }
 
-val open_dir :
-  ?fsync:fsync_policy ->
-  ?segment_bytes:int ->
-  string ->
-  (t * recovery, Error.t) result
+val open_dir : ?segment_bytes:int -> string -> (t * recovery, Error.t) result
 (** Open (creating if needed) the log directory, run recovery, and
     position the log for appending after the durable prefix.
     [segment_bytes] (default 4 MiB) bounds a segment before rotation.
@@ -59,22 +47,8 @@ val open_dir :
     diverge. *)
 
 val append : t -> string -> (int, Error.t) result
-(** Append one record and return its LSN. Under {!Per_record} the
-    record is durable on return; under {!Group_commit} it is durable
-    only after the next {!sync} (explicit or policy-triggered). *)
-
-val sync : t -> (unit, Error.t) result
-(** Force an fsync of buffered appends. No-op when clean. *)
-
-val maybe_sync : t -> (unit, Error.t) result
-(** Fsync buffered appends iff the {!Group_commit} interval has
-    elapsed since the last sync (immediately when dirty under
-    {!Per_record}). {!append} only syncs opportunistically when a
-    later append arrives, so callers must drive this from their event
-    loop to bound the durability window across traffic pauses. *)
-
-val dirty : t -> bool
-(** Whether appends are buffered but not yet fsynced. *)
+(** Append one record, fsync it, and return its LSN: the record is
+    durable on [Ok]. *)
 
 val snapshot : t -> string -> (unit, Error.t) result
 (** Atomically persist [payload] as a snapshot covering every record

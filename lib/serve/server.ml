@@ -107,6 +107,17 @@ let error_response ?degraded ~id msg =
 (* A string request field, "" when absent. *)
 let field fields name = Option.value (J.find_string fields name) ~default:""
 
+(* An optional numeric request field: [default] when absent, else the
+   value [accept] makes of it, or an error that names the field. A
+   wrong type or sign is never coerced to the default. *)
+let numeric fields name ~default ~rule accept =
+  match List.assoc_opt name fields with
+  | None -> Ok default
+  | Some v -> (
+    match accept v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%s must be %s" name rule))
+
 (* Completion of a pool-backed solve: merge the worker payload (or the
    failure) into the response, journal it, and clean up. *)
 let on_pool_complete t (c : Runtime.Pool.completion) =
@@ -217,19 +228,21 @@ let handle_metrics t ~id reply =
        ])
 
 let handle_solve t ~id reply fields =
-  match J.find_string fields "dimacs" with
-  | None -> reply (error_response ~id "solve: missing dimacs field")
-  | Some dimacs ->
-    let deadline_s =
-      match J.find_float fields "deadline_s" with
-      | Some d when d > 0.0 && Float.is_finite d -> d
-      | _ -> t.config.deadline
-    in
-    let mem_mb =
-      match J.find_int fields "mem_mb" with
-      | Some m when m > 0 -> Some m
-      | _ -> t.config.mem_mb
-    in
+  let deadline_s =
+    numeric fields "deadline_s" ~default:t.config.deadline
+      ~rule:"a finite number > 0" (function
+      | J.Int d when d > 0 -> Some (float_of_int d)
+      | J.Float d when d > 0.0 && Float.is_finite d -> Some d
+      | _ -> None)
+  and mem_mb =
+    numeric fields "mem_mb" ~default:t.config.mem_mb ~rule:"an integer > 0"
+      (function J.Int m when m > 0 -> Some (Some m) | _ -> None)
+  in
+  match (J.find_string fields "dimacs", deadline_s, mem_mb) with
+  | None, _, _ -> reply (error_response ~id "solve: missing dimacs field")
+  | _, Error msg, _ | _, _, Error msg ->
+    reply (error_response ~id ("solve: " ^ msg))
+  | Some dimacs, Ok deadline_s, Ok mem_mb ->
     (* With a selector: select the deletion policy in the parent,
        through the fingerprint-keyed decision cache, and ship the
        chosen policy's name to the worker. A repeated instance costs a
@@ -297,11 +310,6 @@ let decimal tok =
   let rec digits i = i = n || (tok.[i] >= '0' && tok.[i] <= '9' && digits (i + 1)) in
   if n > first && digits first then int_of_string_opt tok else None
 
-let tokens s =
-  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
-  |> String.split_on_char ' '
-  |> List.filter (fun tok -> tok <> "")
-
 let check_clause clause =
   let rec go = function
     | [] -> Error "clause does not end in 0"
@@ -313,13 +321,13 @@ let check_clause clause =
         Error (Printf.sprintf "unexpected token %S after the clause's 0" next)
       | Some _, _ -> go rest)
   in
-  go (tokens clause)
+  go (Store.tokens clause)
 
 let check_assumptions assumptions =
   match
     List.find_opt
       (fun tok -> match decimal tok with Some 0 | None -> true | Some _ -> false)
-      (tokens assumptions)
+      (Store.tokens assumptions)
   with
   | Some tok -> Error (Printf.sprintf "unexpected token %S" tok)
   | None -> Ok ()
@@ -341,11 +349,14 @@ let handle_session t ~id reply fields =
   in
   let op =
     match action with
-    | "new" ->
-      let vars =
-        match J.find_int fields "vars" with Some v when v >= 0 -> v | _ -> 0
-      in
-      Ok (Store.New vars)
+    | "new" -> (
+      match
+        numeric fields "vars" ~default:0 ~rule:"an integer >= 0" (function
+          | J.Int v when v >= 0 -> Some v
+          | _ -> None)
+      with
+      | Ok vars -> Ok (Store.New vars)
+      | Error msg -> invalid msg)
     | "new_var" -> Ok Store.New_var
     | "add" -> (
       match J.find_string fields "clause" with
@@ -419,11 +430,7 @@ let handle t ~reply payload =
 
 (* One loop tick's housekeeping after pool scheduling. The idle-session
    TTL sweep is time-gated to roughly once a second so 50 ms ticks
-   don't rescan the table. Group-commit WAL fsyncs are driven from
-   every tick: appends only sync opportunistically when more traffic
-   arrives, so without this a pause in traffic would strand the last
-   burst of acked ops outside the --wal-group-commit durability window
-   indefinitely. Store.flush itself checks the interval. *)
+   don't rescan the table. *)
 let pump t =
   Runtime.Pool.pump t.pool;
   let now = Unix.gettimeofday () in
@@ -431,10 +438,7 @@ let pump t =
     t.last_sweep <- now;
     let n = Store.evict_idle t.store in
     if n > 0 then log t "evicted %d idle session(s)" n
-  end;
-  match Store.flush t.store with
-  | Ok () -> ()
-  | Error e -> log t "wal flush failed: %s" (Runtime.Error.to_string e)
+  end
 
 (* In-flight workers finish under their own limits (the pool launches
    nothing new once Shutdown is requested); their responses flow out
@@ -454,7 +458,6 @@ let drain t =
         Hashtbl.remove t.pending pool_id;
         reject ~degraded:pr.pr_degraded t ~id:pr.pr_user_id pr.pr_reply)
     not_run;
-  (* Sync and close the WAL so the final fsync covers every acked op. *)
   Store.close t.store;
   journal_append t
     [

@@ -26,6 +26,12 @@
     integers. Other session input gets an error reply that names the
     bad token, if there is one, and nothing is logged or applied.
 
+    An absent "vars", "deadline_s" or "mem_mb" keeps its default (0
+    variables, the server's [deadline] and [mem_mb]). A present "vars"
+    must be an integer >= 0, "deadline_s" a finite number > 0 and
+    "mem_mb" an integer > 0; any other value gets an error reply that
+    names the field, before any WAL append, policy selection or fork.
+
     Responses echo "id" and carry "status" ("ok" | "error" | "shed" |
     "rejected") and "degraded", which is true exactly on the replies to
     a solve whose policy selection fell back to the default (the model
@@ -65,8 +71,8 @@ val handle : t -> reply:(Runtime.Journal.record -> unit) -> string -> unit
     answered from a later {!pump} or from {!drain}. *)
 
 val pump : t -> unit
-(** One non-blocking step: pool scheduling (answering finished solves),
-    the idle-session sweep and the WAL group-commit flush. *)
+(** One non-blocking step: pool scheduling (answering finished solves)
+    and the idle-session sweep. *)
 
 val drain : t -> unit
 (** Graceful stop: answer in-flight solves as they finish, answer

@@ -6,7 +6,7 @@
      2. cheap validation    (unknown sid, table cap -> no WAL traffic)
      3. WAL append + fsync  (fails -> error reply, state untouched)
      4. execute on the in-memory solver
-     5. cache the reply under the idempotency key
+     5. cache the reply under the idempotency key and the request
      6. maybe snapshot      (failure tolerated: segments carry durability)
 
    Logging the *operation* (not its result) before executing keeps
@@ -28,6 +28,9 @@ module Error = Runtime.Error
    records, snapshot fields — one canonical form. *)
 let normalize_ws s =
   String.map (function ' ' | '\t' | '\n' | '\r' -> ' ' | c -> c) s
+
+let tokens s =
+  String.split_on_char ' ' (normalize_ws s) |> List.filter (fun tok -> tok <> "")
 
 let lits_of_string s =
   String.split_on_char ' ' (String.trim (normalize_ws s))
@@ -61,24 +64,16 @@ type op =
 
 type config = {
   wal_dir : string option;
-  fsync : Wal.fsync_policy;
-  segment_bytes : int;
   snapshot_every : int;
   max_sessions : int;
   session_ttl : float;
-  dedup_cap : int;
 }
 
 let default_config =
-  {
-    wal_dir = None;
-    fsync = Wal.Per_record;
-    segment_bytes = 4 * 1024 * 1024;
-    snapshot_every = 256;
-    max_sessions = 1024;
-    session_ttl = 0.0;
-    dedup_cap = 4096;
-  }
+  { wal_dir = None; snapshot_every = 256; max_sessions = 1024; session_ttl = 0.0 }
+
+(* Idempotency keys retained in the dedup cache (FIFO). *)
+let dedup_cap = 4096
 
 type recovery_stats = {
   sessions : int;
@@ -151,11 +146,32 @@ let op_of_record fields =
 
 (* --- dedup cache -------------------------------------------------------- *)
 
+(* A reply is cached under the client's key plus a CRC-32 of the
+   request it answered: the sid (length-prefixed), the op and its
+   whitespace-separated tokens. A retry that differs only in spacing
+   still replays; the same key on another session, op or clause runs
+   as a new op. WAL records keep the bare key, and replay rebuilds
+   these composite keys from the logged ops. *)
+let dedup_key key ~sid op =
+  let name, args =
+    match op with
+    | New vars -> ("new", [ string_of_int vars ])
+    | New_var -> ("new_var", [])
+    | Add clause -> ("add", tokens clause)
+    | Solve assumptions -> ("solve", tokens assumptions)
+    | Close -> ("close", [])
+    | Evict -> ("evict", [])
+  in
+  let request =
+    String.concat " " (string_of_int (String.length sid) :: sid :: name :: args)
+  in
+  key ^ "#" ^ Runtime.Crc32.to_hex (Runtime.Crc32.string request)
+
 let cache_reply t key record =
   if not (Hashtbl.mem t.dedup key) then begin
     Hashtbl.replace t.dedup key record;
     Queue.push key t.dedup_order;
-    while Queue.length t.dedup_order > t.cfg.dedup_cap do
+    while Queue.length t.dedup_order > dedup_cap do
       let old = Queue.pop t.dedup_order in
       Hashtbl.remove t.dedup old
     done
@@ -395,7 +411,8 @@ let apply t ?key ~sid op =
     | Solve assumptions -> Solve (normalize_ws assumptions)
     | (New _ | New_var | Close | Evict) as op -> op
   in
-  match key with
+  let cache_key = Option.map (fun k -> dedup_key k ~sid op) key in
+  match cache_key with
   | Some k when Hashtbl.mem t.dedup k ->
     { reply = Ok (Hashtbl.find t.dedup k); replayed = true }
   | _ -> (
@@ -434,7 +451,7 @@ let apply t ?key ~sid op =
           { reply = Error ("wal: " ^ Error.to_string e); replayed = false }
         | Ok () ->
           let reply = execute t ~sid op in
-          (match (key, reply) with
+          (match (cache_key, reply) with
           | Some k, Ok record -> cache_reply t k record
           | _ -> ());
           if not t.replaying then maybe_snapshot t;
@@ -490,9 +507,7 @@ let create cfg =
           restore_errors = 0;
         } )
   | Some dir -> (
-    match
-      Wal.open_dir ~fsync:cfg.fsync ~segment_bytes:cfg.segment_bytes dir
-    with
+    match Wal.open_dir dir with
     | Error e -> Error e
     | Ok (wal, recovery) ->
       let t = make (Some wal) in
@@ -539,8 +554,5 @@ let evict_idle t =
 
 let evictions t = t.evictions
 let snapshot_failures t = t.snapshot_failures
-
-let flush t =
-  match t.wal with None -> Ok () | Some wal -> Wal.maybe_sync wal
 
 let close t = match t.wal with None -> () | Some wal -> Wal.close wal

@@ -2,7 +2,7 @@
 
     The in-memory session table of ns-serve, made durable with a
     write-ahead log ({!Runtime.Wal}): every mutating operation is
-    appended (and fsynced, per policy) to the WAL {e before} it is
+    appended and fsynced to the WAL {e before} it is
     executed, so an acknowledged operation survives any crash. On
     {!create} the store rebuilds itself from the newest snapshot plus
     segment replay — replayed operations re-execute on the
@@ -20,11 +20,12 @@
     the snapshot are carried through it verbatim.
 
     Client retries are made exactly-once by an idempotency-key dedup
-    cache: a request whose [key] was already executed returns the
-    cached reply without touching the solver. The cache is rebuilt
-    during replay (replayed executions regenerate their replies) and
-    carried through snapshots, so a retry straddling a crash still
-    deduplicates.
+    cache: a request whose [key] was already executed for the same
+    request (same sid, op and whitespace-separated tokens) returns the
+    cached reply without touching the solver; the same key on any other
+    request runs it as a new op. The cache is rebuilt during replay
+    (replayed executions regenerate their replies) and carried through
+    snapshots, so a retry straddling a crash still deduplicates.
 
     Sessions are bounded two ways: [max_sessions] caps the table
     (further [New] ops are refused), and [session_ttl] lets
@@ -40,18 +41,16 @@ type op =
   | Evict  (** Internal TTL/cap eviction (still WAL-logged). *)
 
 type config = {
-  wal_dir : string option;  (** [None] = volatile sessions (PR 7 mode). *)
-  fsync : Runtime.Wal.fsync_policy;
-  segment_bytes : int;
+  wal_dir : string option;  (** [None] = volatile sessions. *)
   snapshot_every : int;  (** WAL appends between snapshots; 0 = never. *)
   max_sessions : int;  (** 0 = unbounded. *)
   session_ttl : float;  (** Idle seconds before {!evict_idle} reclaims; 0 = never. *)
-  dedup_cap : int;  (** Retained idempotency keys (FIFO). *)
 }
 
 val default_config : config
-(** Volatile, per-record fsync, snapshot every 256 appends, 1024
-    sessions, TTL off, 4096 dedup keys. *)
+(** Volatile, snapshot every 256 appends, 1024 sessions, TTL off. A
+    WAL-backed store fsyncs every record, rotates 4 MiB segments and
+    retains the 4096 newest idempotency keys. *)
 
 type recovery_stats = {
   sessions : int;  (** Live sessions after recovery. *)
@@ -104,18 +103,15 @@ val snapshot_failures : t -> int
 val snapshot_now : t -> (unit, Runtime.Error.t) result
 (** Force a snapshot + compaction immediately. *)
 
-val flush : t -> (unit, Runtime.Error.t) result
-(** Fsync WAL appends that the group-commit policy has buffered past
-    its interval. Appends only sync opportunistically when more
-    traffic arrives, so the serving loop must call this on its tick to
-    bound the durability window across traffic pauses. No-op for
-    volatile stores and under per-record fsync. *)
-
 val close : t -> unit
 (** Sync and close the WAL. The in-memory table remains usable but no
     longer durable; meant for process shutdown. *)
 
 (** {1 Wire-format helpers} (shared with {!Server}) *)
+
+val tokens : string -> string list
+(** Whitespace-separated tokens; spaces, tabs, newlines and carriage
+    returns all separate. *)
 
 val lits_of_string : string -> Cnf.Lit.t list
 (** Whitespace-separated DIMACS literals (newlines and tabs count as

@@ -66,7 +66,6 @@ type t = {
   learnts : clause Vec.t;
   mutable next_cid : int;
   order : Cdcl.Var_heap.t;
-  vmtf : Cdcl.Vmtf.t option;
   mutable var_inc : float;
   mutable cla_inc : float;
   restart : restart_state;
@@ -217,16 +216,13 @@ let propagate t =
 (* --- activity management --- *)
 
 let var_bump t v =
-  (match t.vmtf with
-  | Some q -> Cdcl.Vmtf.bump q v
-  | None -> ());
   Cdcl.Var_heap.bump t.order v t.var_inc;
   if Cdcl.Var_heap.decay_check t.order > 1e100 then begin
     Cdcl.Var_heap.rescale t.order 1e-100;
     t.var_inc <- t.var_inc *. 1e-100
   end
 
-let var_decay t = t.var_inc <- t.var_inc /. t.cfg.var_decay
+let var_decay t = t.var_inc <- t.var_inc /. Config.var_decay
 
 let cla_bump t c =
   c.activity <- quantise (c.activity +. t.cla_inc);
@@ -238,7 +234,7 @@ let cla_bump t c =
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
-let cla_decay t = t.cla_inc <- t.cla_inc /. t.cfg.clause_decay
+let cla_decay t = t.cla_inc <- t.cla_inc /. Config.clause_decay
 
 (* --- LBD --- *)
 
@@ -268,13 +264,10 @@ let backtrack t target_level =
     for i = Vec.length t.trail - 1 downto bound do
       let l = Vec.get t.trail i in
       let v = Lit.var l in
-      if t.cfg.phase_saving then t.phase.(v) <- t.assigns.(v) > 0;
+      t.phase.(v) <- t.assigns.(v) > 0;
       t.assigns.(v) <- 0;
       t.reason.(v) <- None;
-      Cdcl.Var_heap.insert t.order v;
-      match t.vmtf with
-      | Some q -> Cdcl.Vmtf.on_unassign q v
-      | None -> ()
+      Cdcl.Var_heap.insert t.order v
     done;
     Vec.shrink t.trail bound;
     Vec.shrink t.trail_lim target_level;
@@ -365,17 +358,15 @@ let analyze t confl =
   Vec.clear t.analyze_toclear;
   Vec.iter (fun l -> Vec.push t.analyze_toclear l) learnt;
   let before = Vec.length learnt in
-  if t.cfg.minimize then begin
-    let abstract_levels =
-      Vec.fold (fun acc l -> acc lor abstract_level t (Lit.var l)) 0 learnt
-    in
-    let keep l =
-      Lit.equal l asserting
-      || t.reason.(Lit.var l) = None
-      || not (lit_redundant t l abstract_levels)
-    in
-    Vec.filter_in_place keep learnt
-  end;
+  let abstract_levels =
+    Vec.fold (fun acc l -> acc lor abstract_level t (Lit.var l)) 0 learnt
+  in
+  let keep l =
+    Lit.equal l asserting
+    || t.reason.(Lit.var l) = None
+    || not (lit_redundant t l abstract_levels)
+  in
+  Vec.filter_in_place keep learnt;
   t.stats.minimized_literals <-
     t.stats.minimized_literals + (before - Vec.length learnt);
   Vec.iter (fun l -> t.seen.(Lit.var l) <- 0) t.analyze_toclear;
@@ -531,10 +522,6 @@ let create ?(config = Config.default) formula =
       learnts = Vec.create ~dummy:dummy_clause ();
       next_cid = 0;
       order = Cdcl.Var_heap.create ~num_vars:n;
-      vmtf =
-        (match config.branching with
-        | Config.Evsids -> None
-        | Config.Vmtf -> Some (Cdcl.Vmtf.create ~num_vars:n));
       var_inc = 1.0;
       cla_inc = 1.0;
       restart = make_restart_state config;
@@ -578,17 +565,12 @@ let install_learnt t glue =
 
 (* --- decisions --- *)
 
-let rec pick_from_heap t =
+let rec pick_branch_var t =
   if Cdcl.Var_heap.is_empty t.order then None
   else begin
     let v = Cdcl.Var_heap.remove_max t.order in
-    if t.assigns.(v) = 0 then Some v else pick_from_heap t
+    if t.assigns.(v) = 0 then Some v else pick_branch_var t
   end
-
-let pick_branch_var t =
-  match t.vmtf with
-  | Some q -> Cdcl.Vmtf.pick q ~assigned:(fun v -> t.assigns.(v) <> 0)
-  | None -> pick_from_heap t
 
 let decide t v =
   t.stats.decisions <- t.stats.decisions + 1;

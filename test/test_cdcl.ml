@@ -368,20 +368,10 @@ let test_solver_restart_modes_agree () =
       Cdcl.Config.Glucose { fast_alpha = 0.03; slow_alpha = 1e-4; margin = 1.25 };
     ]
 
-let test_solver_no_minimize_agrees () =
-  let config = { Cdcl.Config.default with Cdcl.Config.minimize = false } in
-  match solve ~config (Gen.Pigeonhole.unsat 5) with
-  | Cdcl.Solver.Unsat, _ -> ()
-  | _ -> Alcotest.fail "UNSAT without minimisation"
-
 let test_solver_minimize_shrinks () =
-  let run minimize =
-    let config = { Cdcl.Config.default with Cdcl.Config.minimize } in
-    let _, stats = solve ~config (Gen.Pigeonhole.unsat 6) in
-    stats.Cdcl.Solver_stats.minimized_literals
-  in
-  checki "no minimisation removes nothing" 0 (run false);
-  checkb "minimisation removes literals" true (run true > 0)
+  let _, stats = solve (Gen.Pigeonhole.unsat 6) in
+  checkb "minimisation removes literals" true
+    (stats.Cdcl.Solver_stats.minimized_literals > 0)
 
 let test_solver_luby_restarts_counted () =
   let _, stats = solve (Gen.Pigeonhole.unsat 7) in
@@ -523,7 +513,6 @@ let suite =
     Alcotest.test_case "solver reduce deletes" `Quick test_solver_reduce_deletes;
     Alcotest.test_case "solver policies agree" `Slow test_solver_policies_agree_on_answer;
     Alcotest.test_case "solver restart modes agree" `Quick test_solver_restart_modes_agree;
-    Alcotest.test_case "solver no-minimize agrees" `Quick test_solver_no_minimize_agrees;
     Alcotest.test_case "solver minimize shrinks" `Quick test_solver_minimize_shrinks;
     Alcotest.test_case "solver restarts counted" `Quick test_solver_luby_restarts_counted;
     Alcotest.test_case "drup proof valid php" `Quick test_drup_proof_valid_php;
@@ -533,72 +522,6 @@ let suite =
     Alcotest.test_case "drup trace format" `Quick test_drup_trace_format;
   ]
   @ qcheck_tests
-
-(* --- VMTF --- *)
-
-let test_vmtf_initial_order () =
-  let q = Cdcl.Vmtf.create ~num_vars:4 in
-  checki "front is 1" 1 (Cdcl.Vmtf.front q);
-  checkb "pick 1 first" true (Cdcl.Vmtf.pick q ~assigned:(fun _ -> false) = Some 1)
-
-let test_vmtf_bump_moves_front () =
-  let q = Cdcl.Vmtf.create ~num_vars:4 in
-  Cdcl.Vmtf.bump q 3;
-  checki "front moved" 3 (Cdcl.Vmtf.front q);
-  checkb "pick bumped" true (Cdcl.Vmtf.pick q ~assigned:(fun _ -> false) = Some 3)
-
-let test_vmtf_skips_assigned () =
-  let q = Cdcl.Vmtf.create ~num_vars:3 in
-  Cdcl.Vmtf.bump q 2;
-  let assigned v = v = 2 in
-  checkb "skips the assigned front" true (Cdcl.Vmtf.pick q ~assigned = Some 1);
-  checkb "none when all assigned" true
-    (Cdcl.Vmtf.pick q ~assigned:(fun _ -> true) = None)
-
-let test_vmtf_unassign_refreshes () =
-  let q = Cdcl.Vmtf.create ~num_vars:3 in
-  Cdcl.Vmtf.bump q 3;
-  (* 3 assigned: picks 1, caching the search pointer past 3. *)
-  checkb "pick 1" true (Cdcl.Vmtf.pick q ~assigned:(fun v -> v = 3) = Some 1);
-  Cdcl.Vmtf.on_unassign q 3;
-  checkb "unassigned front picked again" true
-    (Cdcl.Vmtf.pick q ~assigned:(fun _ -> false) = Some 3)
-
-let test_solver_vmtf_agrees () =
-  let config = { Cdcl.Config.default with Cdcl.Config.branching = Cdcl.Config.Vmtf } in
-  (match solve ~config (Gen.Pigeonhole.unsat 5) with
-  | Cdcl.Solver.Unsat, _ -> ()
-  | _ -> Alcotest.fail "PHP unsat under VMTF");
-  let f = Generators.ksat ~seed:99 ~num_vars:12 ~num_clauses:30 () in
-  match solve ~config f with
-  | Cdcl.Solver.Sat m, _ -> checkb "model valid" true (Cdcl.Solver.check_model f m)
-  | Cdcl.Solver.Unsat, _ -> checkb "brute force agrees" false (brute_force_sat f)
-  | Cdcl.Solver.Unknown, _ -> Alcotest.fail "no budget set"
-
-let prop_vmtf_solver_matches_brute_force =
-  QCheck.Test.make ~name:"vmtf solver matches brute force" ~count:40
-    (Generators.seed_and_clauses 10 45)
-    (fun (seed, m) ->
-      let f = Generators.ksat ~seed:(seed + 555) ~num_vars:10 ~num_clauses:m () in
-      let expected = brute_force_sat f in
-      let config =
-        { Cdcl.Config.default with Cdcl.Config.branching = Cdcl.Config.Vmtf }
-      in
-      match solve ~config f with
-      | Cdcl.Solver.Sat model, _ -> expected && Cdcl.Solver.check_model f model
-      | Cdcl.Solver.Unsat, _ -> not expected
-      | Cdcl.Solver.Unknown, _ -> false)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "vmtf initial order" `Quick test_vmtf_initial_order;
-      Alcotest.test_case "vmtf bump moves front" `Quick test_vmtf_bump_moves_front;
-      Alcotest.test_case "vmtf skips assigned" `Quick test_vmtf_skips_assigned;
-      Alcotest.test_case "vmtf unassign refresh" `Quick test_vmtf_unassign_refreshes;
-      Alcotest.test_case "solver vmtf agrees" `Quick test_solver_vmtf_agrees;
-      QCheck_alcotest.to_alcotest prop_vmtf_solver_matches_brute_force;
-    ]
 
 (* --- assumptions and unsat cores --- *)
 
@@ -815,35 +738,24 @@ let test_incremental_new_var_growth () =
   | _ -> Alcotest.fail "chain plus refutation is unsat"
 
 (* A session add introduces variables one new_var at a time, inside
-   the serve loop. A burst of them must stay amortised O(1) under both
-   branching heuristics, not copy every per-variable array per call. *)
+   the serve loop. A burst of them must stay amortised O(1), not copy
+   every per-variable array per call. *)
 let test_incremental_new_var_burst () =
-  List.iter
-    (fun (name, config) ->
-      let s =
-        Cdcl.Solver.create ~config
-          (Cnf.Formula.of_dimacs_lists ~num_vars:3 [ [ 1; 2; 3 ] ])
-      in
-      let before = Gc.allocated_bytes () in
-      for _ = 1 to 20_000 do
-        ignore (Cdcl.Solver.new_var s)
-      done;
-      let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
-      checkb
-        (Printf.sprintf "%s: 20000 new_var calls allocated %.1f MB (< 64)" name
-           mb)
-        true (mb < 64.0);
-      Cdcl.Solver.add_clause s [ Cnf.Lit.neg 1; Cnf.Lit.pos 20_003 ];
-      match Cdcl.Solver.solve s with
-      | Cdcl.Solver.Sat m ->
-        checkb (name ^ ": model valid") true ((not m.(1)) || m.(20_003))
-      | _ -> Alcotest.failf "%s: burst solver must answer sat" name)
-    [
-      ("default", Cdcl.Config.default);
-      ( "vmtf",
-        { Cdcl.Config.default with Cdcl.Config.branching = Cdcl.Config.Vmtf }
-      );
-    ]
+  let s =
+    Cdcl.Solver.create (Cnf.Formula.of_dimacs_lists ~num_vars:3 [ [ 1; 2; 3 ] ])
+  in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 20_000 do
+    ignore (Cdcl.Solver.new_var s)
+  done;
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  checkb
+    (Printf.sprintf "20000 new_var calls allocated %.1f MB (< 64)" mb)
+    true (mb < 64.0);
+  Cdcl.Solver.add_clause s [ Cnf.Lit.neg 1; Cnf.Lit.pos 20_003 ];
+  match Cdcl.Solver.solve s with
+  | Cdcl.Solver.Sat m -> checkb "model valid" true ((not m.(1)) || m.(20_003))
+  | _ -> Alcotest.fail "burst solver must answer sat"
 
 let test_incremental_unsat_sticky () =
   let s = Cdcl.Solver.create (Cnf.Formula.create ~num_vars:2 [||]) in

@@ -85,11 +85,10 @@ let run_diff ~ctx ?(check_proof = true) config f =
 
 (* An aggressive reduce schedule so small fuzz instances actually
    exercise deletion, compaction, and the packed ranking keys. *)
-let diff_config policy branching =
+let diff_config policy =
   {
     Cdcl.Config.default with
     Cdcl.Config.policy;
-    branching;
     reduce_first = 20;
     reduce_inc = 10;
     reduce_fraction = 0.7;
@@ -99,13 +98,13 @@ let diff_config policy branching =
 let test_refdiff_corpus () =
   let configs =
     [
-      ("default/evsids", diff_config Cdcl.Policy.Default Cdcl.Config.Evsids);
-      ("frequency/evsids", diff_config Cdcl.Policy.frequency_default Cdcl.Config.Evsids);
-      ("activity/evsids", diff_config Cdcl.Policy.Activity Cdcl.Config.Evsids);
-      ("random/vmtf", diff_config (Cdcl.Policy.Random 3) Cdcl.Config.Vmtf);
+      ("default", diff_config Cdcl.Policy.Default);
+      ("frequency", diff_config Cdcl.Policy.frequency_default);
+      ("activity", diff_config Cdcl.Policy.Activity);
+      ("random", diff_config (Cdcl.Policy.Random 3));
       ( "glue/glucose",
         {
-          (diff_config Cdcl.Policy.Glue_only Cdcl.Config.Evsids) with
+          (diff_config Cdcl.Policy.Glue_only) with
           Cdcl.Config.restart_mode =
             Cdcl.Config.Glucose { fast_alpha = 0.2; slow_alpha = 0.01; margin = 1.1 };
         } );
@@ -125,7 +124,7 @@ let test_refdiff_budgets_match () =
      conflict, so budgeted stats agree too. *)
   let config =
     Cdcl.Config.with_budget ~max_conflicts:50
-      (diff_config Cdcl.Policy.frequency_default Cdcl.Config.Evsids)
+      (diff_config Cdcl.Policy.frequency_default)
   in
   let f = Gen.Pigeonhole.unsat 7 in
   ignore (run_diff ~ctx:"budgeted pigeonhole" ~check_proof:false config f)

@@ -865,32 +865,6 @@ let test_wal_gap_fails_loudly () =
         Alcotest.failf "wrong error class: %s" (Runtime.Error.to_string e)
       | Ok _ -> Alcotest.fail "LSN hole between snapshot and segments accepted")
 
-(* Group commit: append leaves the record buffered; [maybe_sync] holds
-   off inside the interval and syncs once it elapses, so an event loop
-   driving it bounds the durability window without traffic. *)
-let test_wal_group_commit_maybe_sync () =
-  with_temp_dir (fun dir ->
-      match
-        Runtime.Wal.open_dir ~fsync:(Runtime.Wal.Group_commit 0.2) dir
-      with
-      | Error e -> Alcotest.failf "open_dir: %s" (Runtime.Error.to_string e)
-      | Ok (wal, _) ->
-        ignore (wal_append_ok wal "buffered");
-        checkb "append inside the interval stays buffered" true
-          (Runtime.Wal.dirty wal);
-        (match Runtime.Wal.maybe_sync wal with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "maybe_sync: %s" (Runtime.Error.to_string e));
-        checkb "maybe_sync holds off inside the interval" true
-          (Runtime.Wal.dirty wal);
-        Unix.sleepf 0.25;
-        (match Runtime.Wal.maybe_sync wal with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "maybe_sync: %s" (Runtime.Error.to_string e));
-        checkb "maybe_sync fsyncs once the interval elapses" false
-          (Runtime.Wal.dirty wal);
-        Runtime.Wal.close wal)
-
 (* qcheck: any payload list (arbitrary bytes, any sizes) survives an
    append/close/reopen cycle byte-for-byte, in order. *)
 let prop_wal_roundtrip =
@@ -952,7 +926,5 @@ let suite =
         test_wal_snapshot_fallback_no_gap;
       Alcotest.test_case "wal LSN gap fails loudly" `Quick
         test_wal_gap_fails_loudly;
-      Alcotest.test_case "wal group-commit maybe_sync" `Quick
-        test_wal_group_commit_maybe_sync;
       QCheck_alcotest.to_alcotest prop_wal_roundtrip;
     ]

@@ -298,6 +298,147 @@ let test_server_sessions () =
   let info = request srv (session "info" []) in
   checkb "replayed add ran once" true (J.find_int info "clauses" = Some 2)
 
+(* A present vars, deadline_s or mem_mb must have the right type and
+   sign. Coercing a bad one to the default would make a 0-variable
+   session of "vars":-5 and run a solve under limits the client never
+   asked for. Each bad value is answered with an error that names the
+   field, at once: no WAL append, no policy selection, no fork. *)
+let test_server_rejects_bad_numeric_fields () =
+  with_temp_dir (fun dir ->
+      let selector = Some (Core.Model.create Core.Model.paper_config) in
+      let store = { Store.default_config with Store.wal_dir = Some dir } in
+      let srv = create_server { server_config with Server.selector; store } in
+      let misses () = (Core.Selector.cache_stats ()).Core.Selector.misses in
+      let misses_before = misses () in
+      let refused what expected fields =
+        let r = request srv fields in
+        checks what "error" (status r);
+        checks (what ^ ": names the field") expected (J.find_string r "error")
+      in
+      List.iter
+        (fun (what, v) ->
+          refused ("vars " ^ what) "session: new: vars must be an integer >= 0"
+            (session ~sid:"bad" "new" [ ("vars", v) ]))
+        [
+          ("-5", J.Int (-5));
+          ("\"abc\"", J.String "abc");
+          ("2.5", J.Float 2.5);
+          ("true", J.Bool true);
+          ("null", J.Null);
+        ];
+      let solve name v =
+        [ op "solve"; ("dimacs", J.String "p cnf 1 1\n1 0\n"); (name, v) ]
+      in
+      List.iter
+        (fun (what, v) ->
+          refused ("deadline_s " ^ what)
+            "solve: deadline_s must be a finite number > 0"
+            (solve "deadline_s" v))
+        [
+          ("0", J.Int 0);
+          ("-1.5", J.Float (-1.5));
+          ("\"5\"", J.String "5");
+          ("null", J.Null);
+        ];
+      let inf =
+        request_raw srv
+          "{\"op\":\"solve\",\"dimacs\":\"p cnf 1 1\\n1 0\\n\",\"deadline_s\":1e999}"
+      in
+      checks "deadline_s 1e999 (infinite)" "error" (status inf);
+      checks "deadline_s 1e999: names the field"
+        "solve: deadline_s must be a finite number > 0"
+        (J.find_string inf "error");
+      List.iter
+        (fun (what, v) ->
+          refused ("mem_mb " ^ what) "solve: mem_mb must be an integer > 0"
+            (solve "mem_mb" v))
+        [
+          ("0", J.Int 0);
+          ("-64", J.Int (-64));
+          ("2.5", J.Float 2.5);
+          ("\"64\"", J.String "64");
+        ];
+      checks "no session was made" "session: unknown sid bad"
+        (J.find_string (request srv (session ~sid:"bad" "info" [])) "error");
+      let m = request srv [ op "metrics" ] in
+      checkb "metrics count no session" true (J.find_int m "sessions" = Some 0);
+      checkb "nothing queued or in flight" true
+        (J.find_int m "queued" = Some 0 && J.find_int m "in_flight" = Some 0);
+      checki "no policy selection ran" misses_before (misses ());
+      checki "nothing reached the WAL" 0
+        (Array.fold_left
+           (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+           0 (Sys.readdir dir));
+      (* Absent fields keep their defaults; integral deadlines stay valid. *)
+      checks "new without vars" "ok" (status (request srv (session "new" [])));
+      checkb "a session of 0 vars" true
+        (J.find_int (request srv (session "info" [])) "vars" = Some 0);
+      let r =
+        request_pumped srv
+          [
+            op "solve";
+            ("dimacs", J.String "p cnf 1 1\n1 0\n");
+            ("deadline_s", J.Int 5);
+            ("mem_mb", J.Int 512);
+          ]
+      in
+      checks "integral deadline_s and mem_mb solve" "sat"
+        (J.find_string r "verdict");
+      Server.drain srv)
+
+(* An idempotency key replays only the request it was made for: the
+   same key on another clause or another session runs as a new op, and
+   a retry that differs only in spacing still replays. Snapshots and
+   WAL replay keep that binding. *)
+let test_server_key_bound_to_request () =
+  with_temp_dir (fun dir ->
+      let config =
+        {
+          server_config with
+          Server.store =
+            { Store.default_config with Store.wal_dir = Some dir; snapshot_every = 4 };
+        }
+      in
+      let srv = create_server config in
+      let keyed ?sid srv clause =
+        request srv
+          (session ?sid "add" [ ("clause", J.String clause); ("key", J.String "k") ])
+      in
+      let info ?sid srv = request srv (session ?sid "info" []) in
+      let ran what r =
+        checks what "ok" (status r);
+        checkb (what ^ ": not replayed") true (J.find_bool r "replayed" = None)
+      in
+      checks "new s" "ok" (status (request srv (session "new" [ ("vars", J.Int 1) ])));
+      ran "first keyed add" (keyed srv "1 0");
+      ran "another clause under the same key" (keyed srv "-1 0");
+      checkb "both clauses counted" true (J.find_int (info srv) "clauses" = Some 2);
+      checks "both clauses solved" "unsat"
+        (J.find_string (request srv (session "solve" [])) "verdict");
+      checks "new t" "ok"
+        (status (request srv (session ~sid:"t" "new" [ ("vars", J.Int 0) ])));
+      ran "the same key on another session" (keyed ~sid:"t" srv "1 0");
+      checkb "t counts its own clause" true
+        (J.find_int (info ~sid:"t" srv) "clauses" = Some 1);
+      let replays what srv sid clause =
+        let r = keyed ~sid srv clause in
+        checks what "ok" (status r);
+        checkb (what ^ ": replayed") true (J.find_bool r "replayed" = Some true)
+      in
+      replays "a retry with extra spaces" srv "s" "  -1   0 ";
+      checkb "the retry added nothing" true
+        (J.find_int (info srv) "clauses" = Some 2);
+      (* Abandon the server without a drain, as a crash would: the
+         snapshot holds the first two keyed adds and the log replays
+         the rest. *)
+      let srv = create_server config in
+      replays "after recovery, from the snapshot" srv "s" "1 0";
+      replays "after recovery, from the log" srv "t" "1\t0";
+      checkb "recovered counts" true
+        (J.find_int (info srv) "clauses" = Some 2
+        && J.find_int (info ~sid:"t" srv) "clauses" = Some 1);
+      Server.drain srv)
+
 (* Malformed session input is an error reply. Dropping the bad tokens
    instead would ack (and WAL-log) the empty clause, a shorter clause
    or fewer assumptions than the client sent. *)
@@ -978,6 +1119,10 @@ let suite =
       test_server_ping_and_metrics;
     Alcotest.test_case "server error replies" `Quick test_server_errors;
     Alcotest.test_case "server sessions and keys" `Quick test_server_sessions;
+    Alcotest.test_case "server rejects bad numeric fields" `Quick
+      test_server_rejects_bad_numeric_fields;
+    Alcotest.test_case "server key replays only its request" `Quick
+      test_server_key_bound_to_request;
     Alcotest.test_case "server rejects malformed session input" `Quick
       test_server_rejects_malformed_session_input;
     Alcotest.test_case "server pool solve" `Quick test_server_pool_solve;

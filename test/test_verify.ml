@@ -89,6 +89,32 @@ let test_fuzz_clean_run () =
   | [] -> ()
   | d :: _ -> Alcotest.failf "unexpected discrepancy: %s" d.Verify.Fuzz.detail)
 
+(* The seed-42 summaries of the three fuzz arms, run with the CLI's
+   defaults: the lines `fuzz --seed 42 --cases 200` and `fuzz
+   --diff-ref --seed 42 --cases 300` print. Any divergence between
+   Cdcl.Solver and Verify.Refsolver fails them, and larger changes to
+   search move the compaction and rewrite counts. A small change made
+   to both solvers alike can leave every line as it is: var_decay 0.94
+   instead of 0.95 did, while 0.8 moved the compactions from 66 to 53.
+   A change to search on purpose updates the lines and says why. *)
+let test_fuzz_seed42_summaries_pinned () =
+  let line pp report = String.trim (Format.asprintf "%a" pp report) in
+  Alcotest.(check string)
+    "fuzz" "fuzz: seed 42, 200 cases, 4400 checks, 0 discrepancies"
+    (line Verify.Fuzz.pp_report (Verify.Fuzz.run ~seed:42 ~cases:200 ()));
+  Alcotest.(check string)
+    "ref-diff"
+    "ref-diff: seed 42, 300 cases, 66 arena compactions, 1186 inprocessing \
+     rewrites, 0 failures"
+    (line Verify.Fuzz.pp_ref_diff_report
+       (Verify.Fuzz.run_ref_diff ~seed:42 ~cases:300 ()));
+  Alcotest.(check string)
+    "incremental-diff"
+    "incremental-diff: seed 42, 300 sequences, 5407 steps, 2082 solves, 7519 \
+     checks, 0 failures"
+    (line Verify.Fuzz.pp_incr_report
+       (Verify.Fuzz.run_incremental_diff ~seed:42 ~sequences:300 ()))
+
 (* The harness must catch a deliberately injected soundness bug: this
    is the "expected failure" demonstration — a solver that silently
    loses one clause has to produce discrepancies. *)
@@ -270,6 +296,8 @@ let suite =
     Alcotest.test_case "oracle budget" `Quick test_oracle_budget;
     Alcotest.test_case "transform shapes" `Quick test_transform_shapes;
     Alcotest.test_case "fuzz clean run" `Slow test_fuzz_clean_run;
+    Alcotest.test_case "fuzz seed-42 summaries pinned" `Quick
+      test_fuzz_seed42_summaries_pinned;
     Alcotest.test_case "fuzz catches injected bug" `Quick test_fuzz_catches_injected_bug;
     Alcotest.test_case "fuzz replay single case" `Quick test_fuzz_replay_single_case;
     Alcotest.test_case "fuzz case generation deterministic" `Quick
