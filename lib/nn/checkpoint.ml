@@ -76,25 +76,26 @@ let parse_payload ~source text =
   in
   consume 0
 
+(* Every parameter must be in the table with its own shape. *)
+let rec validate ~source table = function
+  | [] -> Ok ()
+  | (p : Param.t) :: rest -> (
+    match Hashtbl.find_opt table p.Param.name with
+    | None ->
+      Error
+        (Error.Corrupt
+           { path = source; detail = "missing parameter " ^ p.Param.name })
+    | Some m ->
+      if Mat.shape m <> Mat.shape p.Param.value then
+        Error
+          (Error.Corrupt
+             { path = source; detail = "shape mismatch for " ^ p.Param.name })
+      else validate ~source table rest)
+
 (* Validate every parameter against the table before committing any
    value. *)
 let apply ~source table params =
-  let rec validate = function
-    | [] -> Ok ()
-    | (p : Param.t) :: rest -> (
-      match Hashtbl.find_opt table p.Param.name with
-      | None ->
-        Error
-          (Error.Corrupt
-             { path = source; detail = "missing parameter " ^ p.Param.name })
-      | Some m ->
-        if Mat.shape m <> Mat.shape p.Param.value then
-          Error
-            (Error.Corrupt
-               { path = source; detail = "shape mismatch for " ^ p.Param.name })
-        else validate rest)
-  in
-  match validate params with
+  match validate ~source table params with
   | Error _ as e -> e
   | Ok () ->
     List.iter
@@ -155,23 +156,29 @@ let of_string text params =
 
 (* --- file IO --- *)
 
-(* Cheap integrity probe used before promoting the current file to
-   [.bak]: never let a corrupt file clobber the last-good copy. *)
-let intact path =
+(* Integrity probe used before promoting the current file to [.bak]:
+   the file must load into [params] (without assigning them), so
+   neither a corrupt file nor one that parses to nothing, like an
+   empty file, clobbers the last-good copy. *)
+let intact path params =
   match Runtime.Atomic_file.read path with
   | Error _ -> false
   | Ok text -> (
     match decode ~source:path text with
     | Error _ -> false
-    | Ok payload -> Result.is_ok (parse_payload ~source:path payload))
+    | Ok payload -> (
+      match parse_payload ~source:path payload with
+      | Error _ -> false
+      | Ok table -> Result.is_ok (validate ~source:path table params)))
 
 let save_result path params =
   ignore (Runtime.Atomic_file.sweep_stale (Filename.dirname path));
   let data = encode params in
   (* Promote the current file to [.bak] before any byte of the new
-     write lands, and only when it validates — so neither a torn write
-     below nor a corrupt current file can clobber the last-good copy. *)
-  if Sys.file_exists path && intact path then
+     write lands, and only when it would load into [params] — so
+     neither a torn write below nor a corrupt or empty current file can
+     clobber the last-good copy. *)
+  if Sys.file_exists path && intact path params then
     (try Sys.rename path (backup_path path) with Sys_error _ -> ());
   if Runtime.Fault.fires Runtime.Fault.Torn_checkpoint_write then
     (* Simulate power loss mid-write on a non-atomic writer: the

@@ -25,11 +25,19 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-(* One canonical float format: shortest-ish, round-trippable, and the
-   same bytes every run (golden files depend on this). *)
+(* One canonical float format, the same bytes every run (golden files
+   depend on this). An integral double below 1e17 prints exactly as
+   "%.1f"; any other as the shortest of 15, 16 or 17 significant digits
+   that reads back as the same double. Either way the text has a point
+   or an exponent, so it parses back as a Float. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  if Float.is_integer f && Float.abs f < 1e17 then Printf.sprintf "%.1f" f
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 15
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
@@ -67,6 +75,15 @@ let to_string t =
 
 exception Fail of int * string
 
+(* Deeper nesting is an error, not recursion: the parser reads the wire. *)
+let max_depth = 512
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -93,6 +110,35 @@ let parse s =
     end
     else fail ("expected " ^ word)
   in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let code = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d = hex_digit s.[i] in
+      if d < 0 then fail "bad \\u escape";
+      code := (!code lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !code
+  in
+  (* A high surrogate must be followed by an escaped low one, and the
+     pair decodes to one code point; any other surrogate is an error. *)
+  let unicode_escape () =
+    let hi = hex4 () in
+    let code =
+      if hi land 0xFC00 = 0xD800 && !pos + 1 < n && s.[!pos] = '\\'
+         && s.[!pos + 1] = 'u'
+      then begin
+        pos := !pos + 2;
+        let lo = hex4 () in
+        if lo land 0xFC00 <> 0xDC00 then fail "lone surrogate";
+        0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+      end
+      else hi
+    in
+    if not (Uchar.is_valid code) then fail "lone surrogate";
+    Uchar.of_int code
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -102,42 +148,20 @@ let parse s =
       advance ();
       match c with
       | '"' -> Buffer.contents buf
-      | '\\' -> (
+      | '\\' ->
         if !pos >= n then fail "unterminated escape";
         let e = s.[!pos] in
         advance ();
-        match e with
-        | '"' | '\\' | '/' ->
-          Buffer.add_char buf e;
-          go ()
-        | 'b' ->
-          Buffer.add_char buf '\b';
-          go ()
-        | 'f' ->
-          Buffer.add_char buf '\012';
-          go ()
-        | 'n' ->
-          Buffer.add_char buf '\n';
-          go ()
-        | 'r' ->
-          Buffer.add_char buf '\r';
-          go ()
-        | 't' ->
-          Buffer.add_char buf '\t';
-          go ()
-        | 'u' ->
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with Failure _ -> fail "bad \\u escape"
-          in
-          (match Uchar.of_int code with
-          | u -> Buffer.add_utf_8_uchar buf u
-          | exception Invalid_argument _ -> fail "bad \\u code point");
-          go ()
-        | _ -> fail "bad escape")
+        (match e with
+        | '"' | '\\' | '/' -> Buffer.add_char buf e
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'u' -> Buffer.add_utf_8_uchar buf (unicode_escape ())
+        | _ -> fail "bad escape");
+        go ()
       | c ->
         Buffer.add_char buf c;
         go ()
@@ -155,25 +179,19 @@ let parse s =
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
-    let floaty =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text
-    in
-    if floaty then
+    let floaty = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text in
+    match if floaty then None else int_of_string_opt text with
+    | Some i -> Int i
+    | None -> (
       match float_of_string_opt text with
       | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail "bad number")
+      | None -> fail "bad number")
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -187,7 +205,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -209,7 +227,7 @@ let parse s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -229,7 +247,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -6,6 +6,7 @@ type point =
   | Instance_crash
   | Worker_crash
   | Worker_hang
+  | Reap_delay
   | Inprocess_abort
   | Wal_torn_append
   | Wal_crash_before_fsync
@@ -20,6 +21,7 @@ let all =
     Instance_crash;
     Worker_crash;
     Worker_hang;
+    Reap_delay;
     Inprocess_abort;
     Wal_torn_append;
     Wal_crash_before_fsync;
@@ -34,6 +36,7 @@ let name = function
   | Instance_crash -> "instance-crash"
   | Worker_crash -> "worker-crash"
   | Worker_hang -> "worker-hang"
+  | Reap_delay -> "reap-delay"
   | Inprocess_abort -> "inprocess-abort"
   | Wal_torn_append -> "wal-torn-append"
   | Wal_crash_before_fsync -> "wal-crash-before-fsync"

@@ -31,6 +31,11 @@ type point =
       (** Supervisor's forked worker stops heartbeating and sleeps —
           the watchdog must detect and reap it. Decided pre-fork like
           {!Worker_crash}. *)
+  | Reap_delay
+      (** Supervisor's [service] sleeps 0.2 s between draining a
+          worker's result pipe and reaping it, so a worker that
+          finishes in that window exits before the reap. The reap
+          must still collect its result. *)
   | Inprocess_abort
       (** The solver's inprocessing pass raises mid-vivification,
           simulating a crash during in-place clause surgery. The

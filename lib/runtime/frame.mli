@@ -1,7 +1,7 @@
 (** Length-prefixed framing for the solve-service wire protocol.
 
     A frame is an ASCII decimal byte count, a newline, then exactly
-    that many payload bytes (one flat-JSON object, see {!Journal}).
+    that many payload bytes (one JSON object, see {!Journal}).
     Length prefixes make the stream self-synchronising without
     escaping, and let a reader with a partial frame wait for the rest
     instead of guessing. *)
@@ -22,12 +22,15 @@ val feed : reader -> bytes -> len:int -> unit
 
 val next : reader -> string option
 (** Pop the next complete frame payload, or [None] when more bytes are
-    needed. The length prefix is parsed as strict decimal digits (an
-    optional trailing CR is tolerated): hostile spellings like "0x10"
-    or "1_000" are malformed rather than silently accepted. After a
-    malformed prefix (non-digit, empty, zero, over nine digits, or
-    over the 64 MiB sanity cap) the reader is poisoned: [next] returns
-    [None] forever and {!malformed} turns true. *)
+    needed. The length prefix is parsed once, as strict decimal digits
+    (an optional trailing CR is tolerated): hostile spellings like
+    "0x10" or "1_000" are malformed rather than silently accepted.
+    After a malformed prefix (non-digit, empty, zero, over nine digits
+    or no newline within eleven bytes, or over the 64 MiB sanity cap)
+    the reader is poisoned: [next] returns [None] forever and
+    {!malformed} turns true. Reading costs time and allocation linear
+    in the bytes fed: each payload is copied once, when complete, and
+    consuming a frame does not copy the bytes after it. *)
 
 val malformed : reader -> bool
 

@@ -1,157 +1,18 @@
-type value =
+type value = Obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
   | Float of float
   | String of string
+  | List of value list
+  | Obj of (string * value) list
 
 type record = (string * value) list
 
-(* --- encoding --- *)
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let encode_value buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    else Buffer.add_string buf "null"
-  | String s -> escape buf s
-
-let encode record =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      escape buf k;
-      Buffer.add_char buf ':';
-      encode_value buf v)
-    record;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* --- parsing (flat objects only) --- *)
-
-exception Bad
+let encode record = Obs.Json.to_string (Obj record)
 
 let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Bad else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char buf '"'; advance ()
-        | '\\' -> Buffer.add_char buf '\\'; advance ()
-        | '/' -> Buffer.add_char buf '/'; advance ()
-        | 'n' -> Buffer.add_char buf '\n'; advance ()
-        | 'r' -> Buffer.add_char buf '\r'; advance ()
-        | 't' -> Buffer.add_char buf '\t'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then raise Bad;
-          let hex = String.sub line !pos 4 in
-          pos := !pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> Buffer.add_char buf '?'
-          | None -> raise Bad)
-        | _ -> raise Bad);
-        go ()
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub line !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else raise Bad
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && is_num line.[!pos] do
-      advance ()
-    done;
-    let s = String.sub line start (!pos - start) in
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with Some f -> Float f | None -> raise Bad)
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> String (parse_string ())
-    | 't' -> parse_literal "true" (Bool true)
-    | 'f' -> parse_literal "false" (Bool false)
-    | 'n' -> parse_literal "null" Null
-    | _ -> parse_number ()
-  in
-  match
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    let fields = ref [] in
-    if peek () = '}' then advance ()
-    else begin
-      let rec go () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | ',' -> advance (); go ()
-        | '}' -> advance ()
-        | _ -> raise Bad
-      in
-      go ()
-    end;
-    skip_ws ();
-    if !pos <> n then raise Bad;
-    List.rev !fields
-  with
-  | fields -> Some fields
-  | exception Bad -> None
+  match Obs.Json.parse line with Ok (Obj record) -> Some record | _ -> None
 
 (* --- file IO --- *)
 
@@ -195,18 +56,12 @@ let load path =
 
 (* --- accessors --- *)
 
-let find_string record key =
-  match List.assoc_opt key record with Some (String s) -> Some s | _ -> None
+let find record key conv = Option.bind (List.assoc_opt key record) conv
+let find_string record key = find record key Obs.Json.to_string_opt
+let find_int record key = find record key Obs.Json.to_int_opt
+let find_bool record key = find record key Obs.Json.to_bool_opt
 
 let find_float record key =
-  match List.assoc_opt key record with
-  | Some (Float f) -> Some f
-  | Some (Int i) -> Some (float_of_int i)
-  | Some Null -> Some Float.nan
-  | _ -> None
-
-let find_int record key =
-  match List.assoc_opt key record with Some (Int i) -> Some i | _ -> None
-
-let find_bool record key =
-  match List.assoc_opt key record with Some (Bool b) -> Some b | _ -> None
+  find record key (function
+    | Null -> Some Float.nan
+    | v -> Obs.Json.to_float_opt v)

@@ -202,7 +202,12 @@ let count_verdict = function
   | Hung _ -> Obs.Metrics.incr m_hung
   | Timed_out _ -> Obs.Metrics.incr m_timed_out
 
+(* The reap drains the result pipe once more: a worker can write its
+   result and exit between [service]'s drain and its [waitpid]. The
+   worker has exited, so the read ends at EOF, not EAGAIN. *)
 let finalize t status =
+  drain_fd t t.result_r ~on_data:(fun chunk n ->
+      Buffer.add_subbytes t.buf chunk 0 n);
   let v =
     match t.kill_reason with
     | Some (Watchdog silence) -> Hung silence
@@ -249,6 +254,7 @@ let service t =
     (match t.term_sent_at with
     | Some at when now -. at > t.limits.grace_seconds -> send_kill t
     | _ -> ());
+    if Fault.fires Fault.Reap_delay then Unix.sleepf 0.2;
     (match Unix.waitpid [ Unix.WNOHANG ] t.pid with
     | 0, _ -> None
     | _, status -> Some (finalize t status)

@@ -23,7 +23,9 @@
     Fault injection: {!Fault.Worker_crash} and {!Fault.Worker_hang}
     are consulted in the parent at [spawn] (keeping the deterministic
     stream in one process) and executed by the child, driving the real
-    kill and watchdog paths. *)
+    kill and watchdog paths. {!Fault.Reap_delay} widens the window
+    between draining a worker's result and reaping it, which the reap
+    closes by draining the result pipe once more. *)
 
 type limits = {
   mem_limit_mb : int option;  (** Worker address-space cap. *)

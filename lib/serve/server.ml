@@ -13,7 +13,7 @@ let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
 (* --- worker-side solve ------------------------------------------------- *)
 
 (* Runs inside the forked supervisor worker: parse, solve under the
-   request's wall budget, and return a flat-JSON payload the parent
+   request's wall budget, and return a JSON payload the parent
    merges into the response. *)
 let worker_solve ~deadline_s ~policy dimacs () =
   match Runtime.Error.protect ~context:"serve.worker" (fun () ->

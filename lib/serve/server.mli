@@ -1,8 +1,8 @@
 (** The ns-serve request handler and its event loop.
 
     Speaks a length-prefixed JSON protocol ({!Runtime.Frame}: decimal
-    byte count, newline, one flat JSON object in the {!Runtime.Journal}
-    codec). One-shot solves are multiplexed onto a {!Runtime.Pool} of
+    byte count, newline, one JSON object read and written through
+    {!Runtime.Journal}, that is {!Obs.Json}). One-shot solves are multiplexed onto a {!Runtime.Pool} of
     supervised worker processes with per-request wall deadlines and
     RLIMIT_AS caps; a bounded queue sheds excess load with 429-style
     responses instead of building backlog, and crashed workers are
@@ -20,6 +20,12 @@
        "sid":..,"vars":..,"clause":"1 -2 0","assumptions":"1 -2",
        "key":"client idempotency key"}
     v}
+
+    A payload that is not one JSON object (bad syntax, a lone surrogate
+    escape, nesting deeper than 512 levels, another top-level value)
+    gets the error "malformed JSON frame" with an empty "id". Unknown
+    fields are ignored, whatever their kind, and a known field of the
+    wrong kind gets that field's error.
 
     An "add" needs a "clause" of decimal integers that ends in a single
     0 ("0" is the empty clause); "assumptions" are nonzero decimal

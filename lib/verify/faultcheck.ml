@@ -797,10 +797,28 @@ let all_scenarios =
     ("wal-snapshot-recovery-oracle", wal_snapshot_recovery_verdicts);
   ]
 
+let rec remove_tree path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
+(* A directory made here is removed when the run ends, failed scenarios
+   included; one the caller passed stays. *)
 let run_all ?dir ~seed () =
-  let dir = match dir with Some d -> d | None -> fresh_dir () in
+  let scratch = match dir with Some d -> d | None -> fresh_dir () in
   let outcomes =
-    List.map (fun (name, f) -> scenario name (f ~seed ~dir)) all_scenarios
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.disarm ();
+        if dir = None then remove_tree scratch)
+      (fun () ->
+        List.map
+          (fun (name, f) -> scenario name (f ~seed ~dir:scratch))
+          all_scenarios)
   in
-  Fault.disarm ();
   { seed; outcomes }

@@ -26,8 +26,9 @@ type report = {
 }
 
 val run_all : ?dir:string -> seed:int -> unit -> report
-(** Run every scenario. [dir] (default: a fresh temp directory) holds
-    the scratch files. Always disarms fault injection before
+(** Run every scenario. [dir] holds the scratch files and stays; by
+    default a fresh directory in the temp directory holds them and is
+    removed before returning. Always disarms fault injection before
     returning. *)
 
 val passed : report -> bool

@@ -302,6 +302,7 @@ type ref_diff_report = {
   rd_cases : int;
   rd_compactions : int;  (* arena GCs across all runs *)
   rd_rewrites : int;  (* inprocessing rewrites across all runs *)
+  rd_digest : int;  (* CRC-32 of every run's search statistics *)
   rd_failures : ref_diff_failure list;
 }
 
@@ -349,14 +350,24 @@ let stats_equal (a : Cdcl.Solver_stats.t) (b : Cdcl.Solver_stats.t) =
   && a.Cdcl.Solver_stats.minimized_literals = b.Cdcl.Solver_stats.minimized_literals
   && a.Cdcl.Solver_stats.max_decision_level = b.Cdcl.Solver_stats.max_decision_level
 
+(* The search statistics a summary digest covers: a search change made
+   to Cdcl.Solver and Refsolver alike moves them even when every check
+   passes. *)
+let search_key (s : Cdcl.Solver_stats.t) =
+  Printf.sprintf "%d %d %d %d %d;" s.Cdcl.Solver_stats.decisions
+    s.Cdcl.Solver_stats.conflicts s.Cdcl.Solver_stats.propagations
+    s.Cdcl.Solver_stats.reduces s.Cdcl.Solver_stats.deleted_total
+
 (* One case, both arms. Returns (first failure, compactions,
-   inprocessing rewrites). Deterministic in (config, ipconfig, f), so
-   the shrinker can re-run it on candidate sub-formulas. *)
+   inprocessing rewrites, search keys of the arms that ran).
+   Deterministic in (config, ipconfig, f), so the shrinker can re-run
+   it on candidate sub-formulas. *)
 let run_one_ref_diff config ipconfig f =
   let failure = ref None in
   let fail d = if !failure = None then failure := Some d in
   let compactions = ref 0 in
   let rewrites = ref 0 in
+  let keys = ref "" in
   (* Arm 1: inprocessing off — bit-for-bit against the reference. *)
   let arena = Cdcl.Solver.create ~config f in
   let arena_events = ref [] in
@@ -384,6 +395,7 @@ let run_one_ref_diff config ipconfig f =
   | _ -> fail "verdicts diverge");
   if not (stats_equal (Cdcl.Solver.stats arena) (Refsolver.stats rs)) then
     fail "statistics diverge";
+  keys := search_key (Cdcl.Solver.stats arena);
   if List.rev !arena_events <> List.rev !ref_events then fail "traces diverge";
   (* Arm 2: inprocessing on — verdict, model validity, DRUP proof. *)
   if !failure = None then begin
@@ -393,6 +405,7 @@ let run_one_ref_diff config ipconfig f =
     let ri = Cdcl.Solver.solve ip in
     compactions := !compactions + Cdcl.Solver.arena_gc_count ip;
     let st = Cdcl.Solver.stats ip in
+    keys := !keys ^ search_key st;
     rewrites :=
       !rewrites + st.Cdcl.Solver_stats.vivified
       + st.Cdcl.Solver_stats.vivify_deleted + st.Cdcl.Solver_stats.subsumed
@@ -414,27 +427,29 @@ let run_one_ref_diff config ipconfig f =
         (Printf.sprintf "inprocessing verdict %s but reference says %s"
            (verdict_name ri) (verdict_name rr))
   end;
-  (!failure, !compactions, !rewrites)
+  (!failure, !compactions, !rewrites, !keys)
 
 let run_ref_diff ?(on_case = fun _ _ -> ()) ~seed ~cases () =
   let failures = ref [] in
   let compactions = ref 0 in
   let rewrites = ref 0 in
+  let digest = ref 0 in
   for i = 0 to cases - 1 do
     let family, f = generate_case ~seed i in
     on_case i family;
     let config = ref_diff_config i in
     let ipconfig = inprocess_diff_config i in
-    let failure, gcs, rws = run_one_ref_diff config ipconfig f in
+    let failure, gcs, rws, keys = run_one_ref_diff config ipconfig f in
     compactions := !compactions + gcs;
     rewrites := !rewrites + rws;
+    digest := Runtime.Crc32.update !digest keys;
     match failure with
     | None -> ()
     | Some detail ->
       (* Shrink on every failure kind — statistics and trace
          divergences included, not just verdict mismatches. *)
       let still_fails g =
-        let failure, _, _ = run_one_ref_diff config ipconfig g in
+        let failure, _, _, _ = run_one_ref_diff config ipconfig g in
         failure <> None
       in
       let minimal = shrink still_fails f in
@@ -453,6 +468,7 @@ let run_ref_diff ?(on_case = fun _ _ -> ()) ~seed ~cases () =
     rd_cases = cases;
     rd_compactions = !compactions;
     rd_rewrites = !rewrites;
+    rd_digest = !digest;
     rd_failures = List.rev !failures;
   }
 
@@ -471,6 +487,7 @@ type incr_report = {
   ir_steps : int; (* total API calls issued *)
   ir_solves : int; (* solve / solve_with_assumptions steps checked *)
   ir_checks : int;
+  ir_digest : int; (* CRC-32 of each sequence's final search statistics *)
   ir_failures : incr_failure list;
 }
 
@@ -608,16 +625,21 @@ let run_one_incremental ~seed i ~steps_done ~solves_done ~checks_done =
     incr steps_done;
     check_solve !step None
   end;
-  !failure
+  (!failure, search_key (Cdcl.Solver.stats inc))
 
 let run_incremental_diff ?(on_case = fun _ -> ()) ~seed ~sequences () =
   let steps_done = ref 0 in
   let solves_done = ref 0 in
   let checks_done = ref 0 in
   let failures = ref [] in
+  let digest = ref 0 in
   for i = 0 to sequences - 1 do
     on_case i;
-    match run_one_incremental ~seed i ~steps_done ~solves_done ~checks_done with
+    let failure, key =
+      run_one_incremental ~seed i ~steps_done ~solves_done ~checks_done
+    in
+    digest := Runtime.Crc32.update !digest key;
+    match failure with
     | None -> ()
     | Some (step, detail) ->
       failures :=
@@ -635,14 +657,16 @@ let run_incremental_diff ?(on_case = fun _ -> ()) ~seed ~sequences () =
     ir_steps = !steps_done;
     ir_solves = !solves_done;
     ir_checks = !checks_done;
+    ir_digest = !digest;
     ir_failures = List.rev !failures;
   }
 
 let pp_incr_report ppf r =
   Format.fprintf ppf
     "incremental-diff: seed %d, %d sequences, %d steps, %d solves, %d checks, \
-     %d failures@."
+     search digest %s, %d failures@."
     r.ir_seed r.ir_sequences r.ir_steps r.ir_solves r.ir_checks
+    (Runtime.Crc32.to_hex r.ir_digest)
     (List.length r.ir_failures);
   List.iter
     (fun d ->
@@ -653,8 +677,9 @@ let pp_incr_report ppf r =
 let pp_ref_diff_report ppf r =
   Format.fprintf ppf
     "ref-diff: seed %d, %d cases, %d arena compactions, %d inprocessing \
-     rewrites, %d failures@."
+     rewrites, search digest %s, %d failures@."
     r.rd_seed r.rd_cases r.rd_compactions r.rd_rewrites
+    (Runtime.Crc32.to_hex r.rd_digest)
     (List.length r.rd_failures);
   List.iter
     (fun d ->

@@ -114,6 +114,10 @@ type ref_diff_report = {
       (** Vivification/subsumption/strengthening rewrites performed by
           the inprocessing arm — a coverage signal that the passes
           actually ran. *)
+  rd_digest : int;
+      (** CRC-32 over every run's decisions, conflicts, propagations,
+          reduces and deleted clauses, both arms: a search change made
+          to both solvers alike moves it when no check fails. *)
   rd_failures : ref_diff_failure list;
 }
 
@@ -154,6 +158,9 @@ type incr_report = {
   ir_steps : int;  (** Total API calls issued across all sequences. *)
   ir_solves : int;  (** Solve steps differentially checked. *)
   ir_checks : int;
+  ir_digest : int;
+      (** CRC-32 over each sequence's final decisions, conflicts,
+          propagations, reduces and deleted clauses. *)
   ir_failures : incr_failure list;
 }
 

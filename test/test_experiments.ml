@@ -143,12 +143,32 @@ let test_entry_record_roundtrip () =
       degraded = Some "model failure: boom";
     }
   in
-  match
-    Experiments.Adaptive_eval.entry_of_record
-      (Experiments.Adaptive_eval.record_of_entry entry)
-  with
-  | None -> Alcotest.fail "journal record did not parse back"
-  | Some e -> checkb "roundtrip preserves the entry" true (e = entry)
+  let roundtrip entry =
+    Option.bind
+      (Runtime.Journal.parse_line
+         (Runtime.Journal.encode
+            (Experiments.Adaptive_eval.record_of_entry entry)))
+      Experiments.Adaptive_eval.entry_of_record
+  in
+  checkb "roundtrip preserves the entry" true (roundtrip entry = Some entry);
+  let third = { entry with inference_seconds = 1.0 /. 3.0 } in
+  checkb "a 17-digit float reads back exactly" true (roundtrip third = Some third);
+  (* A line in the bytes an earlier encoder wrote, every float in
+     %.17g, reads back to the same entry; the encoder now writes the
+     shortest digits that read back. *)
+  let line inference =
+    Printf.sprintf
+      {|{"name":"inst-01","family":"ksat","kissat_seconds":12.5,"kissat_solved":true,"adaptive_seconds":11.25,"adaptive_solved":true,"inference_seconds":%s,"chose_frequency":true,"probability":0.75,"degraded":"model failure: boom"}|}
+      inference
+  in
+  checkb "a %.17g journal line reads back" true
+    (Option.bind
+       (Runtime.Journal.parse_line (line "0.0040000000000000001"))
+       Experiments.Adaptive_eval.entry_of_record
+    = Some entry);
+  Alcotest.(check string)
+    "shortest digits" (line "0.004")
+    (Runtime.Journal.encode (Experiments.Adaptive_eval.record_of_entry entry))
 
 let test_adaptive_eval_journal_resume () =
   let model = Core.Model.create Core.Model.small_config in

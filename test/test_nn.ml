@@ -317,7 +317,19 @@ let test_checkpoint_backup_fallback () =
         checkb "backup holds the previous weights" true
           (Mat.approx_equal good q.Nn.Param.value)
       | Ok Nn.Checkpoint.Primary -> Alcotest.fail "corrupt primary accepted"
-      | Error e -> Alcotest.failf "no fallback: %s" (Runtime.Error.to_string e))
+      | Error e -> Alcotest.failf "no fallback: %s" (Runtime.Error.to_string e));
+  (* An empty primary parses to no parameters; saving over it must not
+     promote it over the last-good .bak. *)
+  with_ckpt_dir (fun path ->
+      let w v = Nn.Param.create "w" (Mat.of_array ~rows:1 ~cols:1 [| v |]) in
+      Nn.Checkpoint.save path [ w 1.0 ];
+      Nn.Checkpoint.save path [ w 2.0 ];
+      Out_channel.with_open_bin path ignore;
+      Nn.Checkpoint.save path [ w 3.0 ];
+      let q = w 0.0 in
+      match Nn.Checkpoint.load_result (Nn.Checkpoint.backup_path path) [ q ] with
+      | Ok _ -> checkb ".bak still holds w=1" true (Mat.get q.Nn.Param.value 0 0 = 1.0)
+      | Error e -> Alcotest.failf ".bak clobbered: %s" (Runtime.Error.to_string e))
 
 let test_checkpoint_corruption_detected () =
   with_ckpt_dir (fun path ->

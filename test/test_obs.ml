@@ -264,14 +264,33 @@ let test_json_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok j' ->
     checkb "round-trips structurally" true (j = j');
-    checks "stable bytes" (Obs.Json.to_string j) (Obs.Json.to_string j')
+    checks "stable bytes" (Obs.Json.to_string j) (Obs.Json.to_string j');
+    let parses_to text v =
+      checkb ("parses " ^ text) true (Obs.Json.parse text = Ok v)
+    in
+    parses_to {|"\b\f\u00e9\ud83d\ude00"|} (Obs.Json.String "\b\012\xc3\xa9\xf0\x9f\x98\x80");
+    parses_to "{\"a\":1}\r\n" (Obs.Json.Obj [ ("a", Obs.Json.Int 1) ]);
+    parses_to "1e999" (Obs.Json.Float Float.infinity);
+    checks "shortest digits that read back" "0.30000000000000004"
+      (Obs.Json.to_string (Obs.Json.Float (0.1 +. 0.2)));
+    checks "integral floats keep one decimal" "1234567890123456.0"
+      (Obs.Json.to_string (Obs.Json.Float 1234567890123456.0));
+    let nested k = String.make k '[' ^ String.make k ']' in
+    checkb "512 levels of nesting parse" true (Result.is_ok (Obs.Json.parse (nested 512)))
 
 let test_json_errors () =
   List.iter
     (fun s ->
-      checkb ("rejects " ^ s) true
+      let shown = if String.length s > 20 then String.sub s 0 20 ^ "..." else s in
+      checkb ("rejects " ^ shown) true
         (match Obs.Json.parse s with Error _ -> true | Ok _ -> false))
-    [ "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2" ]
+    [
+      "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2";
+      (* A lone surrogate, a \u escape that is not four hex digits, and
+         nesting past the cap, which must not recurse: *)
+      {|"\ud800"|}; {|"\udc00x"|}; {|"\ud800\u0041"|}; {|"\u0_41"|}; {|"\u+041"|};
+      String.make 513 '['; "{\"op\":" ^ String.make 10_000_000 '[';
+    ]
 
 (* --- report schema: golden file --- *)
 
@@ -448,7 +467,19 @@ let test_solver_counters_accrue () =
     stats.Cdcl.Solver_stats.conflicts
     (value "cdcl.conflicts" - conflicts0)
 
-let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ monotonic_under_spans ]
+(* Every finite double prints to text that parses back to the same
+   double, as a Float. *)
+let json_float_roundtrip =
+  QCheck.Test.make ~name:"json floats read back exactly" ~count:2000
+    QCheck.(oneof [ float; map Int64.float_of_bits int64 ])
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Obs.Json.parse (Obs.Json.to_string (Obs.Json.Float f)) with
+      | Ok (Obs.Json.Float g) -> Int64.bits_of_float g = Int64.bits_of_float f
+      | _ -> false)
+
+let qcheck_tests =
+  List.map QCheck_alcotest.to_alcotest [ monotonic_under_spans; json_float_roundtrip ]
 
 let suite =
   [

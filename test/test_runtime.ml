@@ -48,7 +48,19 @@ let test_journal_encode_roundtrip () =
       "float field" 0.125
       (Option.get (Runtime.Journal.find_float r "loss"));
     checkb "null reads as nan via find_float" true
-      (Float.is_nan (Option.get (Runtime.Journal.find_float r "missing")))
+      (Float.is_nan (Option.get (Runtime.Journal.find_float r "missing")));
+    (* A session WAL record as written before the journal used
+       Obs.Json reads back to the same record. *)
+    checkb "WAL record bytes read back" true
+      (Runtime.Journal.parse_line
+         {|{"sop":"add","clause":"1 -2 0","sid":"s","key":"b"}|}
+      = Some
+          [
+            ("sop", Runtime.Journal.String "add");
+            ("clause", Runtime.Journal.String "1 -2 0");
+            ("sid", Runtime.Journal.String "s");
+            ("key", Runtime.Journal.String "b");
+          ])
 
 let test_journal_nonfinite_floats () =
   let r =
@@ -272,6 +284,17 @@ let test_supervisor_completed () =
   check_verdict "error payload"
     (function Runtime.Supervisor.Completed (Error "boom") -> true | _ -> false)
     (Runtime.Supervisor.run slim (fun () -> Error "boom"));
+  (* The worker writes its result 20 ms in, after the first drain, and
+     exits; the reap-delay fault holds the reap back 0.2 s, so the reap
+     finds an exited worker whose result is still in the pipe. *)
+  Runtime.Fault.arm ~seed:1 [ Runtime.Fault.Reap_delay ];
+  Fun.protect ~finally:Runtime.Fault.disarm (fun () ->
+      check_verdict "result written just before the reap"
+        (function
+          | Runtime.Supervisor.Completed (Ok "payload") -> true | _ -> false)
+        (Runtime.Supervisor.run slim (fun () ->
+             Unix.sleepf 0.02;
+             Ok "payload")));
   checkb "completed not retryable" false
     (Runtime.Supervisor.retryable (Runtime.Supervisor.Completed (Ok "x")))
 
@@ -623,7 +646,51 @@ let test_frame_roundtrip_chunked () =
       | None -> ())
     wire;
   checkb "all frames recovered" true (List.rev !got = payloads);
-  checkb "clean stream not poisoned" false (Runtime.Frame.malformed r)
+  checkb "clean stream not poisoned" false (Runtime.Frame.malformed r);
+  (* Reading costs allocation linear in the bytes read: a 16 MiB frame
+     fed in 64 KiB chunks, calling next after each, and a 64 KiB chunk
+     of 13-byte frames fed at once. *)
+  let allocated_reading wire ~chunk =
+    let r = Runtime.Frame.create_reader () in
+    let buf = Bytes.create chunk and frames = ref 0 and bytes = ref 0 in
+    let before = Gc.allocated_bytes () in
+    let off = ref 0 in
+    while !off < String.length wire do
+      let len = min chunk (String.length wire - !off) in
+      Bytes.blit_string wire !off buf 0 len;
+      Runtime.Frame.feed r buf ~len;
+      let rec drain () =
+        match Runtime.Frame.next r with
+        | Some p ->
+          incr frames;
+          bytes := !bytes + String.length p;
+          drain ()
+        | None -> ()
+      in
+      drain ();
+      off := !off + len
+    done;
+    (Gc.allocated_bytes () -. before, !frames, !bytes)
+  in
+  let size = 16 * 1024 * 1024 in
+  let allocated, frames, bytes =
+    allocated_reading (Printf.sprintf "%d\n%s" size (String.make size 'x'))
+      ~chunk:65536
+  in
+  checkb "16 MiB frame read whole" true (frames = 1 && bytes = size);
+  checkb
+    (Printf.sprintf "16 MiB frame allocates %.0f bytes, at most 4x its size"
+       allocated)
+    true
+    (allocated <= 4.0 *. float size);
+  let small = String.concat "" (List.init 5041 (fun _ -> "10\n0123456789")) in
+  let allocated, frames, _ = allocated_reading small ~chunk:(String.length small) in
+  checki "small frames read" 5041 frames;
+  checkb
+    (Printf.sprintf "5041 small frames allocate %.0f bytes, at most 8x the input"
+       allocated)
+    true
+    (allocated <= 8.0 *. float (String.length small))
 
 let test_frame_malformed_poisons () =
   let r = Runtime.Frame.create_reader () in

@@ -61,12 +61,28 @@ let test_volatile_session_lifecycle () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "add on a closed session accepted"
 
+(* The first line starting with [prefix] in the log files of [dir]
+   whose names end in [suffix]: WAL segments and snapshots keep each
+   record's bytes on lines of their own. *)
+let log_line dir suffix prefix =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.concat_map (fun f ->
+         String.split_on_char '\n'
+           (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  |> List.find_opt (String.starts_with ~prefix)
+
 let test_recovery_and_dedup () =
   with_temp_dir (fun dir ->
       let cfg = { Store.default_config with Store.wal_dir = Some dir } in
       let t, _ = create_ok cfg in
       ignore (apply_ok t ~key:"a" ~sid:"s" (Store.New 2));
       ignore (apply_ok t ~key:"b" ~sid:"s" (Store.Add "1 -2 0"));
+      (* Session records hold no floats; their bytes stay as written. *)
+      Alcotest.(check (option string))
+        "add record bytes"
+        (Some {|{"sop":"add","clause":"1 -2 0","sid":"s","key":"b"}|})
+        (log_line dir ".seg" {|{"sop":"add"|});
       let first = apply_ok t ~key:"c" ~sid:"s" (Store.Solve "") in
       (* Same key, same reply, no re-execution — live. *)
       let retry = Store.apply t ~key:"c" ~sid:"s" (Store.Solve "") in
@@ -85,6 +101,14 @@ let test_recovery_and_dedup () =
       checkb "post-crash retry deduped" true retry2.Store.replayed;
       checkb "post-crash retry reply identical" true
         (retry2.Store.reply = Ok first);
+      (match Store.snapshot_now t2 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
+      Alcotest.(check (option string))
+        "snapshot dedup line bytes"
+        (Some
+           {|{"k":"dedup","key":"c#245e6940","resp":"{\"verdict\":\"sat\",\"model\":\"-1 -2\",\"core\":null}"}|})
+        (log_line dir ".snap" {|{"k":"dedup","key":"c#|});
       Store.close t2)
 
 let test_snapshot_recovery () =
@@ -279,7 +303,89 @@ let test_server_errors () =
   checks "solve without dimacs" "error" (status (request srv [ op "solve" ]));
   let info = request srv (session ~sid:"nope" "info" []) in
   checks "info on an unknown sid" "error" (status info);
-  checks "names the sid" "session: unknown sid nope" (J.find_string info "error")
+  checks "names the sid" "session: unknown sid nope" (J.find_string info "error");
+  (* Arrays and objects are JSON like any other: a field of the wrong
+     kind gets its own error and unknown fields are ignored. *)
+  checks "nested extra field ignored" "ok"
+    (status (request_raw srv {|{"op":"ping","extra":[1,{"a":[]}]}|}));
+  checks "non-string dimacs" "solve: missing dimacs field"
+    (J.find_string (request_raw srv {|{"op":"solve","dimacs":["p cnf 1 1"]}|}) "error");
+  let t0 = Unix.gettimeofday () in
+  let deep = request_raw srv ("{\"op\":" ^ String.make 10_000_000 '[') in
+  checks "10^7 open brackets are malformed" "malformed JSON frame"
+    (J.find_string deep "error");
+  checkb "and answered at once" true (Unix.gettimeofday () -. t0 < 0.5);
+  (* Seeded hostile frames, one at a time: each gets exactly one reply
+     (a solve that reaches the pool once it is pumped) and none raises. *)
+  let rng = Util.Rng.create 26 in
+  let pick xs = Util.Rng.choose rng (Array.of_list xs) in
+  let str xs = List.map (Printf.sprintf "%S") xs in
+  let rec value depth =
+    match Util.Rng.int rng (if depth >= 3 then 3 else 5) with
+    | 0 ->
+      pick
+        [ "0"; "-1"; "2"; "-0"; "1.5"; "1e999"; "-1e999"; "1e-400"; "2.5e308";
+          "123456789012345678901234567890"; "4611686018427387904"; "true";
+          "null"; "NaN"; "-" ]
+    | 1 ->
+      pick
+        (str [ "ping"; "session"; "solve"; "new"; "add"; "info"; "1 -2 0"; "" ]
+        @ [ {|"\b\f\t"|}; {|"\u00e9"|}; {|"\ud800"|}; {|"\udc00"|};
+            {|"\ud83d\ude00"|}; {|"\ud800\u0041"|}; {|"\u12"|}; {|"\u0000"|};
+            "\"raw\ncontrol\"" ])
+    | 2 -> pick [ "[]"; "{}"; "[[[[]]]]"; {|{"":{}}|} ]
+    | 3 ->
+      "["
+      ^ String.concat ","
+          (List.init (Util.Rng.int rng 4) (fun _ -> value (depth + 1)))
+      ^ "]"
+    | _ -> obj (depth + 1) []
+  and obj depth fixed =
+    let key () =
+      pick
+        [ "op"; "id"; "sid"; "action"; "vars"; "clause"; "assumptions"; "key";
+          "dimacs"; "deadline_s"; "mem_mb"; ""; {|\u006fp|} ]
+    in
+    let members =
+      fixed
+      @ List.init (Util.Rng.int rng 5) (fun _ ->
+            Printf.sprintf {|"%s":%s|} (key ()) (value depth))
+    in
+    "{" ^ String.concat "," members ^ "}"
+  in
+  for i = 1 to 400 do
+    let frame =
+      match Util.Rng.int rng 5 with
+      | 0 -> value 0
+      | _ ->
+        let op = pick [ "ping"; "metrics"; "session"; "solve"; "frobnicate" ] in
+        let session =
+          [
+            Printf.sprintf {|"action":%S|}
+              (pick [ "new"; "new_var"; "add"; "solve"; "info"; "close" ]);
+            Printf.sprintf {|"sid":%S|} (pick [ "a"; "b" ]);
+          ]
+        in
+        obj 0
+          (Printf.sprintf {|"op":%S|} op :: (if op = "session" then session else []))
+    in
+    let frame = frame ^ pick [ ""; " "; "\n"; "\r\n"; "\t \n " ] in
+    let frame =
+      if Util.Rng.int rng 10 = 0 then
+        String.sub frame 0 (Util.Rng.int rng (String.length frame))
+      else frame
+    in
+    let replies = ref 0 in
+    (match Server.handle srv ~reply:(fun _ -> incr replies) frame with
+    | () -> ()
+    | exception e -> Alcotest.failf "frame %d %S raised %s" i frame (Printexc.to_string e));
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while !replies = 0 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.002;
+      Server.pump srv
+    done;
+    if !replies <> 1 then Alcotest.failf "frame %d %S got %d replies" i frame !replies
+  done
 
 let test_server_sessions () =
   let srv = create_server server_config in

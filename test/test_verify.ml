@@ -92,11 +92,12 @@ let test_fuzz_clean_run () =
 (* The seed-42 summaries of the three fuzz arms, run with the CLI's
    defaults: the lines `fuzz --seed 42 --cases 200` and `fuzz
    --diff-ref --seed 42 --cases 300` print. Any divergence between
-   Cdcl.Solver and Verify.Refsolver fails them, and larger changes to
-   search move the compaction and rewrite counts. A small change made
-   to both solvers alike can leave every line as it is: var_decay 0.94
-   instead of 0.95 did, while 0.8 moved the compactions from 66 to 53.
-   A change to search on purpose updates the lines and says why. *)
+   Cdcl.Solver and Verify.Refsolver fails them, and the search digests
+   (CRC-32 of every run's decisions, conflicts, propagations, reduces
+   and deleted clauses) move with a change to search made to both
+   solvers alike: var_decay 0.94 instead of 0.95 left the counts as
+   they were but moved both digests. A change to search on purpose
+   updates the lines and says why. *)
 let test_fuzz_seed42_summaries_pinned () =
   let line pp report = String.trim (Format.asprintf "%a" pp report) in
   Alcotest.(check string)
@@ -105,13 +106,13 @@ let test_fuzz_seed42_summaries_pinned () =
   Alcotest.(check string)
     "ref-diff"
     "ref-diff: seed 42, 300 cases, 66 arena compactions, 1186 inprocessing \
-     rewrites, 0 failures"
+     rewrites, search digest 608f2cf6, 0 failures"
     (line Verify.Fuzz.pp_ref_diff_report
        (Verify.Fuzz.run_ref_diff ~seed:42 ~cases:300 ()));
   Alcotest.(check string)
     "incremental-diff"
     "incremental-diff: seed 42, 300 sequences, 5407 steps, 2082 solves, 7519 \
-     checks, 0 failures"
+     checks, search digest 91a060c5, 0 failures"
     (line Verify.Fuzz.pp_incr_report
        (Verify.Fuzz.run_incremental_diff ~seed:42 ~sequences:300 ()))
 
@@ -276,7 +277,18 @@ let qcheck_tests =
 (* --- fault-injection scenarios --- *)
 
 let test_faultcheck_all_recover () =
-  let report = Verify.Faultcheck.run_all ~seed:42 () in
+  (* In a temp directory of its own, which the run must leave empty. *)
+  let saved = Filename.get_temp_dir_name () in
+  let tmp = Filename.temp_dir "nsfaultcheck" "" in
+  Filename.set_temp_dir_name tmp;
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () -> Verify.Faultcheck.run_all ~seed:42 ())
+  in
+  let left = Array.to_list (Sys.readdir tmp) in
+  (try Sys.rmdir tmp with Sys_error _ -> ());
+  Alcotest.(check (list string)) "nothing left in the temp directory" [] left;
   List.iter
     (fun (o : Verify.Faultcheck.outcome) ->
       checkb
