@@ -38,6 +38,8 @@ type t = {
   on_complete : completion -> unit;
   mutable queue : pending list; (* waiting, oldest first *)
   mutable running : running list;
+  mutable exiting : Supervisor.t list;
+      (* answered from the result pipe, not yet reaped *)
   mutable shed_count : int;
 }
 
@@ -59,6 +61,7 @@ let create ?(jobs = 2) ?max_queue ?(max_retries = 2) ?backoff
     on_complete;
     queue = [];
     running = [];
+    exiting = [];
     shed_count = 0;
   }
 
@@ -104,16 +107,21 @@ let launch t p =
   let worker = Supervisor.spawn ~label:p.p_id p.p_limits p.p_thunk in
   t.running <- { r_worker = worker; r_pending = p } :: t.running
 
-(* One scheduling step: reap finished workers (retrying retryable
-   verdicts with backoff), then fill free slots from the queue. Never
-   blocks longer than the select tick. *)
+let wait_fds t =
+  List.concat_map (fun r -> Supervisor.wait_fds r.r_worker) t.running
+
+(* One scheduling step: reap workers that exited since their verdict,
+   deliver finished workers (retrying retryable verdicts with backoff),
+   then fill free slots from the queue. Never blocks. *)
 let pump t =
+  t.exiting <- List.filter (fun w -> not (Supervisor.reap w)) t.exiting;
   let still_running = ref [] in
   List.iter
     (fun r ->
       match Supervisor.service r.r_worker with
       | None -> still_running := r :: !still_running
       | Some verdict -> (
+        t.exiting <- r.r_worker :: t.exiting;
         let p = r.r_pending in
         let attempts = p.p_attempts + 1 in
         match verdict with
@@ -164,8 +172,7 @@ let pump t =
   observe_depths t
 
 let tick t =
-  let fds = List.concat_map (fun r -> Supervisor.wait_fds r.r_worker) t.running in
-  (try ignore (Unix.select fds [] [] 0.02)
+  (try ignore (Unix.select (wait_fds t) [] [] 0.02)
    with Unix.Unix_error (Unix.EINTR, _, _) -> ());
   pump t
 
@@ -177,6 +184,8 @@ let drain t =
   while in_flight t > 0 do
     tick t
   done;
+  List.iter (fun w -> ignore (Supervisor.await w)) t.exiting;
+  t.exiting <- [];
   let not_run = List.map (fun p -> p.p_id) t.queue in
   t.queue <- [];
   not_run

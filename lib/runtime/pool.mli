@@ -50,12 +50,22 @@ val submit :
     override. *)
 
 val pump : t -> unit
-(** One non-blocking scheduling step: reap, retry, launch. *)
+(** One non-blocking scheduling step: reap, retry, launch. A worker's
+    completion is delivered as soon as {!Supervisor.service} has its
+    verdict; a worker answered from its result pipe is reaped by a
+    later [pump] with [WNOHANG]. *)
+
+val wait_fds : t -> Unix.file_descr list
+(** The running workers' {!Supervisor.wait_fds}: a caller's [select]
+    that includes them wakes when a worker heartbeats, answers or
+    exits, and should {!pump} then. Workers awaiting only their exit
+    status contribute none, so keep a timeout on the select. *)
 
 val drain : t -> string list
 (** Block until in-flight workers finish (no new launches beyond what
-    the queue admits before a stop); returns the ids that never ran.
-    Completions reach only [on_complete]: the pool keeps none. *)
+    the queue admits before a stop) and every worker has been reaped;
+    returns the ids that never ran. Completions reach only
+    [on_complete]: the pool keeps none. *)
 
 val in_flight : t -> int
 val queued : t -> int

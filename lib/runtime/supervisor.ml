@@ -48,10 +48,12 @@ type t = {
   buf : Buffer.t;
   mutable last_hb : float;
   mutable result_eof : bool;
+  mutable hb_eof : bool;
   mutable term_sent_at : float option;
   mutable kill_sent : bool;
   mutable kill_reason : kill_reason option;
   mutable verdict : verdict option;
+  mutable reaped : bool;
 }
 
 let pid t = t.pid
@@ -149,30 +151,46 @@ let spawn ?(label = "worker") limits f =
       buf = Buffer.create 256;
       last_hb = now;
       result_eof = false;
+      hb_eof = false;
       term_sent_at = None;
       kill_sent = false;
       kill_reason = None;
       verdict = None;
+      reaped = false;
     }
 
+(* A pipe at EOF stays readable, so it leaves the select set: a select
+   on it would return at once until the worker is reaped. *)
 let wait_fds t =
   if t.verdict <> None then []
   else
-    (if t.result_eof then [] else [ t.result_r ]) @ [ t.hb_r ]
+    (if t.result_eof then [] else [ t.result_r ])
+    @ if t.hb_eof then [] else [ t.hb_r ]
 
-let drain_fd t fd ~on_data =
-  let chunk = Bytes.create 4096 in
+(* The parent supervises from one thread, so one read buffer serves
+   every drain. *)
+let chunk = Bytes.create 4096
+
+(* Read [fd] until it would block; [true] at EOF (or a read error). *)
+let drain_fd fd ~on_data =
   let rec go () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> if fd = t.result_r then t.result_eof <- true
+    | 0 -> true
     | n ->
-      on_data chunk n;
+      on_data n;
       go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> if fd = t.result_r then t.result_eof <- true
+    | exception Unix.Unix_error _ -> true
   in
   go ()
+
+let drain_result t ~now =
+  if (not t.result_eof)
+     && drain_fd t.result_r ~on_data:(fun n ->
+            t.last_hb <- now;
+            Buffer.add_subbytes t.buf chunk 0 n)
+  then t.result_eof <- true
 
 let send_term t reason ~now =
   if t.term_sent_at = None then begin
@@ -202,64 +220,88 @@ let count_verdict = function
   | Hung _ -> Obs.Metrics.incr m_hung
   | Timed_out _ -> Obs.Metrics.incr m_timed_out
 
-(* The reap drains the result pipe once more: a worker can write its
-   result and exit between [service]'s drain and its [waitpid]. The
-   worker has exited, so the read ends at EOF, not EAGAIN. *)
-let finalize t status =
-  drain_fd t t.result_r ~on_data:(fun chunk n ->
-      Buffer.add_subbytes t.buf chunk 0 n);
-  let v =
-    match t.kill_reason with
-    | Some (Watchdog silence) -> Hung silence
-    | Some (Deadline elapsed) -> Timed_out elapsed
-    | None -> (
-      let payload = Buffer.contents t.buf in
-      if String.length payload > 0 then
-        let body = String.sub payload 1 (String.length payload - 1) in
-        match payload.[0] with
-        | 'O' -> Completed (Ok body)
-        | 'E' -> Completed (Error body)
-        | _ -> Exited 70
-      else
-        match status with
-        | Unix.WEXITED c -> Exited c
-        | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s)
-  in
+let settle t v =
   (try Unix.close t.result_r with Unix.Unix_error _ -> ());
   (try Unix.close t.hb_r with Unix.Unix_error _ -> ());
   count_verdict v;
   t.verdict <- Some v;
   v
 
+(* A non-empty result payload; child_main tags it [O] or [E]. *)
+let payload_verdict t =
+  let payload = Buffer.contents t.buf in
+  let body = String.sub payload 1 (String.length payload - 1) in
+  match payload.[0] with
+  | 'O' -> Completed (Ok body)
+  | 'E' -> Completed (Error body)
+  | _ -> Exited 70
+
+(* The reap drains the result pipe once more: a worker can write its
+   result and exit between [service]'s drain and its [waitpid]. The
+   worker has exited, so the read ends at EOF, not EAGAIN. A kill the
+   supervisor sent decides before any payload. *)
+let finalize t status =
+  t.reaped <- true;
+  drain_result t ~now:(real_now ());
+  settle t
+    (match t.kill_reason with
+    | Some (Watchdog silence) -> Hung silence
+    | Some (Deadline elapsed) -> Timed_out elapsed
+    | None when Buffer.length t.buf > 0 -> payload_verdict t
+    | None -> (
+      match status with
+      | Unix.WEXITED c -> Exited c
+      | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s))
+
 let service t =
   match t.verdict with
   | Some v -> Some v
   | None ->
     let now = real_now () in
-    drain_fd t t.hb_r ~on_data:(fun _ _ -> t.last_hb <- now);
-    drain_fd t t.result_r ~on_data:(fun chunk n ->
-        t.last_hb <- now;
-        Buffer.add_subbytes t.buf chunk 0 n);
-    (* Escalation ladder: deadline or watchdog first sends SIGTERM;
-       grace_seconds later an unresponsive worker gets SIGKILL. *)
-    (match t.limits.deadline_seconds with
-    | Some d when now -. t.started > d && not t.result_eof ->
-      send_term t (Deadline (now -. t.started)) ~now
-    | _ -> ());
-    let silence = now -. t.last_hb in
-    if
-      (not t.result_eof)
-      && silence > t.limits.hang_factor *. t.limits.heartbeat_interval
-    then send_term t (Watchdog silence) ~now;
-    (match t.term_sent_at with
-    | Some at when now -. at > t.limits.grace_seconds -> send_kill t
-    | _ -> ());
-    if Fault.fires Fault.Reap_delay then Unix.sleepf 0.2;
-    (match Unix.waitpid [ Unix.WNOHANG ] t.pid with
-    | 0, _ -> None
-    | _, status -> Some (finalize t status)
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-      Some (finalize t (Unix.WEXITED 0)))
+    if (not t.hb_eof) && drain_fd t.hb_r ~on_data:(fun _ -> t.last_hb <- now)
+    then t.hb_eof <- true;
+    drain_result t ~now;
+    if t.result_eof && t.kill_reason = None && Buffer.length t.buf > 0 then
+      (* The worker closed its result pipe after writing the whole
+         payload, so the verdict no longer depends on how it exits.
+         Deciding now saves waiting for the exit; [reap] or [await]
+         collects the process. *)
+      Some (settle t (payload_verdict t))
+    else begin
+      (* Escalation ladder: deadline or watchdog first sends SIGTERM;
+         grace_seconds later an unresponsive worker gets SIGKILL. *)
+      (match t.limits.deadline_seconds with
+      | Some d when now -. t.started > d && not t.result_eof ->
+        send_term t (Deadline (now -. t.started)) ~now
+      | _ -> ());
+      let silence = now -. t.last_hb in
+      if
+        (not t.result_eof)
+        && silence > t.limits.hang_factor *. t.limits.heartbeat_interval
+      then send_term t (Watchdog silence) ~now;
+      (match t.term_sent_at with
+      | Some at when now -. at > t.limits.grace_seconds -> send_kill t
+      | _ -> ());
+      if Fault.fires Fault.Reap_delay then Unix.sleepf 0.2;
+      match Unix.waitpid [ Unix.WNOHANG ] t.pid with
+      | 0, _ -> None
+      | _, status -> Some (finalize t status)
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+        Some (finalize t (Unix.WEXITED 0))
+    end
+
+(* Collect a worker whose verdict is known; [[]] blocks, [[WNOHANG]]
+   does not. *)
+let reap_with flags t =
+  (if t.verdict <> None && not t.reaped then
+     match Unix.waitpid flags t.pid with
+     | 0, _ -> ()
+     | _ -> t.reaped <- true
+     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> t.reaped <- true
+     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  t.reaped
+
+let reap = reap_with [ Unix.WNOHANG ]
 
 let abort t =
   match t.verdict with
@@ -268,17 +310,22 @@ let abort t =
     send_term t (Deadline (real_now () -. t.started)) ~now:(real_now ())
 
 (* Block until the worker is done, multiplexing on its pipes with a
-   small tick so watchdog and escalation checks stay timely. *)
+   small tick so watchdog and escalation checks stay timely. A verdict
+   read from the result pipe leaves the worker between its last close
+   and its exit, so the blocking wait for it is short. *)
 let await t =
   let rec loop () =
     match service t with
     | Some v -> v
     | None ->
-      let fds = wait_fds t in
-      (try ignore (Unix.select fds [] [] 0.02)
+      (try ignore (Unix.select (wait_fds t) [] [] 0.02)
        with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
   in
-  loop ()
+  let v = loop () in
+  while not (reap_with [] t) do
+    ()
+  done;
+  v
 
 let run ?label limits f = await (spawn ?label limits f)

@@ -15,7 +15,8 @@
 
     Deadline and watchdog violations escalate SIGTERM → (after
     [grace_seconds]) SIGKILL, and the worker is always reaped; a hung
-    worker is never waited on forever.
+    worker is never waited on forever. A worker that writes its result
+    has its verdict at the result pipe's EOF, before its exit.
 
     Supervision reads the real clock directly, so it keeps working
     when {!Clock} runs a fake source for deterministic measurements.
@@ -64,18 +65,33 @@ val pid : t -> int
 val label : t -> string
 
 val wait_fds : t -> Unix.file_descr list
-(** Descriptors a caller may [select] on while multiplexing workers. *)
+(** Descriptors a caller may [select] on while multiplexing workers:
+    the result and heartbeat pipes, each until it reaches EOF, and none
+    once the verdict is known. One turns readable when the worker
+    heartbeats, writes its result or exits; call {!service} then. An
+    empty list before the verdict means the worker has closed both
+    pipes and only its exit status is awaited: select with a timeout. *)
 
 val service : t -> verdict option
 (** Non-blocking supervision step: drain pipes, run watchdog and
-    deadline checks, escalate kills, reap. [Some v] once the worker is
-    finished (idempotent afterwards). *)
+    deadline checks, escalate kills, reap with [WNOHANG]. [Some v] once
+    the verdict is known (idempotent afterwards). A result payload
+    decides it when its pipe reaches EOF, without waiting for the
+    worker to exit: that worker is reaped later by {!reap} or
+    {!await}. A watchdog or deadline kill, and a worker that closed
+    its pipes without a payload (a crash), are decided at the reap. *)
+
+val reap : t -> bool
+(** Non-blocking: [waitpid] with [WNOHANG] on a worker whose verdict is
+    known, [true] once it has been reaped. [false] while the verdict is
+    unknown ({!service} reaps those). *)
 
 val abort : t -> unit
 (** Begin SIGTERM → SIGKILL shutdown of a running worker. *)
 
 val await : t -> verdict
-(** Block (with timely watchdog ticks) until the worker finishes. *)
+(** Block (with timely watchdog ticks) until the worker finishes and
+    has been reaped. *)
 
 val run : ?label:string -> limits -> (unit -> (string, string) result) -> verdict
 (** [spawn] + [await]. *)

@@ -428,9 +428,9 @@ let handle t ~reply payload =
 
 (* --- housekeeping and drain ---------------------------------------------- *)
 
-(* One loop tick's housekeeping after pool scheduling. The idle-session
-   TTL sweep is time-gated to roughly once a second so 50 ms ticks
-   don't rescan the table. *)
+(* Pool scheduling, then housekeeping. The loop pumps on every wakeup
+   (a frame, a worker's pipe, or the 50 ms timeout), so the idle-session
+   TTL sweep is time-gated to roughly once a second. *)
 let pump t =
   Runtime.Pool.pump t.pool;
   let now = Unix.gettimeofday () in
@@ -551,10 +551,15 @@ let serve t ?listener initial =
       listener := None
     end;
     let reading = List.filter (fun c -> c.reading) !clients in
+    (* Worker pipes wake the loop when a solve finishes. The timeout
+       only paces the watchdog, deadlines, retry backoff and the idle
+       sweep. *)
     let readable, _, _ =
       try
         Unix.select
-          (Option.to_list !listener @ List.map (fun c -> c.input) reading)
+          (Option.to_list !listener
+          @ List.map (fun c -> c.input) reading
+          @ Runtime.Pool.wait_fds t.pool)
           [] [] 0.05
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in

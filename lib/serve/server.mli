@@ -77,8 +77,9 @@ val handle : t -> reply:(Runtime.Journal.record -> unit) -> string -> unit
     answered from a later {!pump} or from {!drain}. *)
 
 val pump : t -> unit
-(** One non-blocking step: pool scheduling (answering finished solves)
-    and the idle-session sweep. *)
+(** One non-blocking step: pool scheduling (answering solves whose
+    worker has its verdict, reaping exited workers) and the idle-session
+    sweep, which runs at most once a second. *)
 
 val drain : t -> unit
 (** Graceful stop: answer in-flight solves as they finish, answer
@@ -87,9 +88,14 @@ val drain : t -> unit
     "drained" event. Every later request is [rejected]. *)
 
 val serve : t -> ?listener:Unix.file_descr -> (Unix.file_descr * Unix.file_descr) list -> unit
-(** The select loop, on a 50 ms tick. Each client is an
-    [(input, output)] pair: the given ones (the stdio pair) plus one
-    socket per connection accepted on [listener]. Accepted sockets stay
+(** The select loop. It wakes on a client frame, a new connection or a
+    worker's pipe, so a solve is answered as soon as its worker's
+    result pipe reaches EOF; a 50 ms timeout paces the watchdog,
+    deadlines, retry backoff and the idle sweep. The loop never blocks
+    on [waitpid]; exited workers are reaped with [WNOHANG], and the
+    {!drain} it ends with reaps the rest before it returns. Each client
+    is an [(input, output)] pair: the given ones (the stdio pair) plus
+    one socket per connection accepted on [listener]. Accepted sockets stay
     blocking with a fixed send timeout, so a reply goes out whole or
     its client is dropped; SIGPIPE is ignored, so a peer that stops
     reading costs only its own connection. EOF (or a malformed length

@@ -160,7 +160,13 @@ type incr_report = {
   ir_checks : int;
   ir_digest : int;
       (** CRC-32 over each sequence's final decisions, conflicts,
-          propagations, reduces and deleted clauses. *)
+          propagations, reduces and deleted clauses. The long-lived
+          solver's statistics accumulate over its solves, so this
+          covers every one of them. At seed 42 the 300 sequences (4–8
+          variables, clauses of 1–4 literals) reach at most 2 conflicts
+          each, and a fresh solver at most 1: a change to variable
+          activity decay ([Config.var_decay] 0.95 → 0.94) moves none of
+          their solves and leaves the digest as it is. *)
   ir_failures : incr_failure list;
 }
 

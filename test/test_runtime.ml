@@ -298,6 +298,47 @@ let test_supervisor_completed () =
   checkb "completed not retryable" false
     (Runtime.Supervisor.retryable (Runtime.Supervisor.Completed (Ok "x")))
 
+(* A caller that selects on [wait_fds] and calls [service] wakes a few
+   times per worker: on its first heartbeat, its result and the result
+   pipe's EOF. A pipe left in the set after its EOF makes every select
+   return at once until the reap; a verdict that waits for the exit
+   after both pipes close sleeps through the select's timeout. [await]
+   then returns only once the worker is reaped. *)
+let test_supervisor_wakes_without_spinning () =
+  for k = 1 to 20 do
+    let w =
+      Runtime.Supervisor.spawn Runtime.Supervisor.default_limits (fun () ->
+          Ok "")
+    in
+    let t0 = Unix.gettimeofday () in
+    let rec drive selects =
+      match Runtime.Supervisor.service w with
+      | Some v -> (selects, v)
+      | None ->
+        (try ignore (Unix.select (Runtime.Supervisor.wait_fds w) [] [] 1.0)
+         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        drive (selects + 1)
+    in
+    let selects, v = drive 0 in
+    let wall = Unix.gettimeofday () -. t0 in
+    check_verdict "no-op worker"
+      (function Runtime.Supervisor.Completed (Ok "") -> true | _ -> false)
+      v;
+    checkb
+      (Printf.sprintf "worker %d: %d selects, at most 4" k selects)
+      true (selects <= 4);
+    checkb
+      (Printf.sprintf "worker %d: verdict in %.3f s, under 0.5 s" k wall)
+      true (wall < 0.5);
+    ignore (Runtime.Supervisor.await w);
+    checkb
+      (Printf.sprintf "worker %d reaped by await" k)
+      true
+      (match Unix.waitpid [ Unix.WNOHANG ] (Runtime.Supervisor.pid w) with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+      | _ -> false)
+  done
+
 let test_supervisor_exception_is_error () =
   match Runtime.Supervisor.run slim (fun () -> failwith "worker exploded") with
   | Runtime.Supervisor.Completed (Error msg) ->
@@ -553,6 +594,8 @@ let suite =
     Alcotest.test_case "backoff envelope (jitter 0)" `Quick test_backoff_envelope;
     Alcotest.test_case "supervisor completed results" `Quick
       test_supervisor_completed;
+    Alcotest.test_case "supervisor wakes without spinning" `Quick
+      test_supervisor_wakes_without_spinning;
     Alcotest.test_case "supervisor worker exception" `Quick
       test_supervisor_exception_is_error;
     Alcotest.test_case "supervisor crash verdicts" `Quick

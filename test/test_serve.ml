@@ -817,9 +817,16 @@ let rpc ?timeout c fields =
 
 let rpc_fields c fields = Option.bind (rpc c fields) J.parse_line
 
+(* Whether this process has no child left, running or exited. *)
+let no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
 (* Fork a server for [config] on a fresh listening socket at [path] and
-   return its pid. The child exits 0 after a clean drain, 2 if the
-   server raised (a failed WAL recovery included). *)
+   return its pid. The child exits 0 after a clean drain that left no
+   worker unreaped, 3 if one was, and 2 if the server raised (a failed
+   WAL recovery included). *)
 let fork_server config path =
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
@@ -832,7 +839,7 @@ let fork_server config path =
         Runtime.Shutdown.reset ();
         Runtime.Shutdown.install ();
         Server.serve (create_server config) ~listener:lfd [];
-        0
+        if no_children () then 0 else 3
       with _ -> 2
     in
     Unix._exit code
@@ -881,7 +888,7 @@ let with_served_socket ?(config = server_config) f =
 (* EOF on a client's input stops reading it, not answering it: a
    half-closed client still gets every reply it is owed, and then the
    loop, with no listener and no reading client left, drains and
-   returns (the stdio server's exit path). *)
+   returns (the stdio server's exit path) with its worker reaped. *)
 let test_server_answers_after_eof () =
   let srv = create_server server_config in
   let server_end, client_end =
@@ -894,7 +901,17 @@ let test_server_answers_after_eof () =
       [ op "solve"; id "b"; ("dimacs", J.String "p cnf 1 1\n1 0\n") ];
     ];
   Unix.shutdown client_end Unix.SHUTDOWN_SEND;
+  (* In-process servers that earlier tests dropped without a drain can
+     leave exited workers unreaped; collect those first. *)
+  let rec collect () =
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | 0, _ -> ()
+    | _ -> collect ()
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  in
+  collect ();
   Server.serve srv [ (server_end, server_end) ];
+  checkb "serve returned with its worker reaped" true (no_children ());
   let reader = Runtime.Frame.create_reader () in
   while Runtime.Frame.read_into reader client_end <> `Eof do
     ()
@@ -967,6 +984,39 @@ let test_server_large_reply_whole () =
               (List.length (String.split_on_char ' ' model))))
   in
   checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
+
+(* A solve is answered when its worker's result pipe reaches EOF, not
+   on the loop's next 50 ms timeout: one-variable solves sent one at a
+   time come back in a few milliseconds. *)
+let test_server_answers_without_the_tick () =
+  let rtts, exit_status =
+    with_served_socket (fun path _ ->
+        let c = connect path in
+        let rtts =
+          List.init 20 (fun i ->
+              let t0 = Unix.gettimeofday () in
+              (match
+                 rpc_fields c
+                   [
+                     op "solve";
+                     id (string_of_int i);
+                     ("dimacs", J.String "p cnf 1 1\n1 0\n");
+                   ]
+               with
+              | Some r when status r = Some "ok" -> ()
+              | _ -> Alcotest.failf "solve %d was not answered ok" i);
+              1000.0 *. (Unix.gettimeofday () -. t0))
+        in
+        Unix.close c.fd;
+        Array.of_list rtts)
+  in
+  Array.sort compare rtts;
+  let median = (rtts.(9) +. rtts.(10)) /. 2.0 in
+  checkb
+    (Printf.sprintf "median round trip %.1f ms is under 25 ms" median)
+    true (median < 25.0);
+  checkb "server drained, reaped every worker and exited 0" true
+    (exit_status = Unix.WEXITED 0)
 
 (* Burst and drain over real sockets. Four clients overflow 2 jobs
    and a queue of 2 with solves that run for their 1 s deadline, and
@@ -1247,6 +1297,8 @@ let suite =
       test_server_survives_peer_that_stops_reading;
     Alcotest.test_case "server large reply whole" `Quick
       test_server_large_reply_whole;
+    Alcotest.test_case "server answers without the tick" `Quick
+      test_server_answers_without_the_tick;
     Alcotest.test_case "server sigterm mid burst" `Quick
       test_server_sigterm_mid_burst;
     Alcotest.test_case "server sigkill restart over wal" `Quick
