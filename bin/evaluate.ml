@@ -21,8 +21,8 @@ let run checkpoint seed per_year budget journal deadline jobs mem_limit_mb
   (match checkpoint with
   | Some path -> (
     match Core.Model.load_result path model with
-    | Ok Nn.Checkpoint.Primary -> ()
-    | Ok Nn.Checkpoint.Backup ->
+    | Ok (Nn.Checkpoint.Primary, _) -> ()
+    | Ok (Nn.Checkpoint.Backup, _) ->
       Printf.eprintf "warning: %s corrupt, using %s\n%!" path
         (Nn.Checkpoint.backup_path path)
     | Error e ->

@@ -13,12 +13,12 @@ let run seed cases case gradcheck faults diff_ref check_checkpoint
   | Some path ->
     let model = Core.Model.create Core.Model.paper_config in
     (match Core.Model.load_result path model with
-    | Ok Nn.Checkpoint.Primary ->
-      Printf.printf "checkpoint %s: OK (primary)\n" path;
+    | Ok (Nn.Checkpoint.Primary, epochs) ->
+      Printf.printf "checkpoint %s: OK (primary, %d epochs)\n" path epochs;
       exit 0
-    | Ok Nn.Checkpoint.Backup ->
-      Printf.printf "checkpoint %s: primary corrupt, backup %s OK\n" path
-        (Nn.Checkpoint.backup_path path);
+    | Ok (Nn.Checkpoint.Backup, epochs) ->
+      Printf.printf "checkpoint %s: primary corrupt, backup %s OK (%d epochs)\n"
+        path (Nn.Checkpoint.backup_path path) epochs;
       exit 0
     | Error e ->
       Printf.printf "checkpoint %s: FAIL (%s)\n" path (Runtime.Error.to_string e);
@@ -122,7 +122,8 @@ let diff_ref =
 let check_checkpoint =
   Arg.(value & opt (some string) None & info [ "check-checkpoint" ] ~docv:"FILE"
          ~doc:"Validate FILE as a NeuroSelect checkpoint (header, CRC, \
-               shapes), falling back to FILE.bak; exit 0 iff loadable.")
+               shapes), falling back to FILE.bak, and print the epoch \
+               count of the copy loaded; exit 0 iff loadable.")
 
 let no_metamorphic =
   Arg.(value & flag & info [ "no-metamorphic" ] ~doc:"Skip metamorphic transforms.")

@@ -11,8 +11,8 @@ let load_selector checkpoint =
   (match checkpoint with
   | Some path -> (
     match Core.Model.load_result path model with
-    | Ok Nn.Checkpoint.Primary -> ()
-    | Ok Nn.Checkpoint.Backup ->
+    | Ok (Nn.Checkpoint.Primary, _) -> ()
+    | Ok (Nn.Checkpoint.Backup, _) ->
       Printf.eprintf "ns-serve: %s corrupt, using %s\n%!" path
         (Nn.Checkpoint.backup_path path)
     | Error e ->

@@ -1,25 +1,10 @@
 (* ns-train: generate the synthetic dataset, label it by dual-policy
    solving, train the NeuroSelect model, and write a checkpoint.
 
-   Fault-tolerant: every epoch ends with an atomic checkpoint write
-   plus a progress-journal line, so a killed run restarts from the
-   last completed epoch with --resume (the dataset and shuffles are
-   deterministic in the seed, so the resumed run retraces the
-   interrupted one). *)
-
-let progress_path out = out ^ ".progress"
-
-(* Highest completed epoch recorded in the progress journal, if any. *)
-let last_completed_epoch out =
-  match Runtime.Journal.load (progress_path out) with
-  | Error _ -> None
-  | Ok (records, _dropped) ->
-    List.fold_left
-      (fun acc r ->
-        match Runtime.Journal.find_int r "epoch" with
-        | Some e -> Some (match acc with None -> e | Some a -> max a e)
-        | None -> acc)
-      None records
+   Fault-tolerant: every epoch ends with an atomic checkpoint write that
+   records how many epochs are complete, so a killed run restarts from
+   there with --resume (the dataset and shuffles are deterministic in
+   the seed, so the resumed run retraces the interrupted one). *)
 
 let run seed per_year budget epochs lr out resume checkpoint_every metrics
     quiet =
@@ -28,29 +13,34 @@ let run seed per_year budget epochs lr out resume checkpoint_every metrics
   | Some path -> at_exit (fun () -> Obs.Report.write path)
   | None -> ());
   (* SIGINT/SIGTERM are polled at each epoch boundary: the current
-     weights and a progress-journal line are flushed so --resume picks
-     up exactly where the signal landed, then we exit non-zero. *)
+     weights are flushed so --resume picks up exactly where the signal
+     landed, then we exit non-zero. *)
   Runtime.Shutdown.install ();
   let log fmt =
     Printf.ksprintf (fun s -> if not quiet then print_endline s) fmt
   in
+  let model = Core.Model.create Core.Model.paper_config in
+  (* Resume at the epoch count of whichever copy loads: the primary, or
+     the .bak last-good copy when the primary is corrupt. *)
   let start_epoch =
-    if resume && Sys.file_exists out then (
-      match last_completed_epoch out with
-      | Some e -> e + 1
-      | None -> 0)
-    else 0
+    if not resume then 0
+    else
+      match Core.Model.load_result out model with
+      | Ok (Nn.Checkpoint.Primary, completed) ->
+        log "resuming from %s at epoch %d" out completed;
+        completed
+      | Ok (Nn.Checkpoint.Backup, completed) ->
+        log "primary checkpoint corrupt; resuming from %s at epoch %d"
+          (Nn.Checkpoint.backup_path out)
+          completed;
+        completed
+      | Error e ->
+        log "cannot resume (%s); starting from epoch 0"
+          (Runtime.Error.to_string e);
+        0
   in
-  if (not resume) || start_epoch = 0 then begin
-    (* Fresh run: stale progress or backup files must not leak into
-       this run's resume state. *)
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ progress_path out ]
-  end;
   if start_epoch >= epochs then begin
-    log "training already complete (%d epochs recorded in %s)" epochs
-      (progress_path out);
+    log "training already complete (%d epochs recorded in %s)" start_epoch out;
     exit 0
   end;
   log "generating + labelling dataset (seed %d, %d per year) ..." seed per_year;
@@ -61,49 +51,22 @@ let run seed per_year budget epochs lr out resume checkpoint_every metrics
     (Experiments.Data.positives data.Experiments.Data.train)
     (List.length data.Experiments.Data.test)
     (Experiments.Data.positives data.Experiments.Data.test);
-  let model = Core.Model.create Core.Model.paper_config in
-  let start_epoch =
-    if start_epoch = 0 then 0
-    else
-      match Core.Model.load_result out model with
-      | Ok Nn.Checkpoint.Primary ->
-        log "resuming from %s at epoch %d" out start_epoch;
-        start_epoch
-      | Ok Nn.Checkpoint.Backup ->
-        log "primary checkpoint corrupt; resuming from %s at epoch %d"
-          (Nn.Checkpoint.backup_path out)
-          start_epoch;
-        start_epoch
-      | Error e ->
-        log "cannot resume (%s); restarting from epoch 0"
-          (Runtime.Error.to_string e);
-        0
-  in
   log "model parameters: %d" (Core.Model.num_parameters model);
   let train_progress ~epoch ~loss =
     if (not quiet) && epoch mod 5 = 0 then
       Printf.printf "epoch %3d  mean BCE %.4f\n%!" epoch loss
   in
-  let write_checkpoint ~epoch ~loss =
-    Core.Model.save out model;
-    ignore
-      (Runtime.Journal.append (progress_path out)
-         [ ("epoch", Runtime.Journal.Int epoch);
-           ("loss", Runtime.Journal.Float loss) ])
-  in
-  let on_epoch ~epoch ~loss =
-    let scheduled =
-      (epoch + 1) mod checkpoint_every = 0 || epoch = epochs - 1
-    in
+  (* The last epoch is always on the schedule, so the loop's final
+     save holds the trained weights. *)
+  let on_epoch ~epoch ~loss:_ =
+    let save () = Core.Model.save ~epochs:(epoch + 1) out model in
     if Runtime.Shutdown.requested () then begin
-      (* Always flush on shutdown, even off the checkpoint schedule:
-         the journal tail and weights must reflect this epoch. *)
-      write_checkpoint ~epoch ~loss;
-      log "interrupted at epoch %d: checkpoint and journal flushed to %s" epoch
-        out;
+      (* Always flush on shutdown, even off the checkpoint schedule. *)
+      save ();
+      log "interrupted at epoch %d: checkpoint flushed to %s" epoch out;
       exit (Runtime.Shutdown.exit_code ())
     end;
-    if scheduled then write_checkpoint ~epoch ~loss
+    if (epoch + 1) mod checkpoint_every = 0 || epoch = epochs - 1 then save ()
   in
   let history =
     Core.Trainer.train ~epochs ~lr ~start_epoch ~on_epoch ~progress:train_progress
@@ -119,7 +82,6 @@ let run seed per_year budget epochs lr out resume checkpoint_every metrics
   in
   report data.Experiments.Data.train "train";
   report data.Experiments.Data.test "test ";
-  Core.Model.save out model;
   log "checkpoint written to %s" out
 
 open Cmdliner
@@ -138,14 +100,14 @@ let resume =
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Restart from the last completed epoch recorded in FILE.progress, \
-           loading FILE (or its .bak last-good copy when FILE is corrupt).")
+          "Restart from the completed epoch count stored in FILE, loading \
+           FILE (or its .bak last-good copy when FILE is corrupt).")
 
 let checkpoint_every =
   Arg.(
     value & opt int 1
     & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Write the checkpoint and progress journal every N epochs.")
+        ~doc:"Write the checkpoint every N epochs.")
 
 let metrics =
   Arg.(

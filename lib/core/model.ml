@@ -116,7 +116,7 @@ let predict_formula t formula = predict t (Bigraph.of_formula formula)
 
 let classify t graph = predict t graph > 0.5
 
-let save path t = Nn.Checkpoint.save path (params t)
+let save ~epochs path t = Nn.Checkpoint.save ~epochs path (params t)
 
 let bump_generation t = t.generation <- t.generation + 1
 

@@ -49,12 +49,16 @@ val generation : t -> int
 val predict_formula : t -> Cnf.Formula.t -> float
 val classify : t -> Satgraph.Bigraph.t -> bool
 
-val save : string -> t -> unit
+val save : epochs:int -> string -> t -> unit
+(** {!Nn.Checkpoint.save}: [epochs] is the completed training epochs,
+    0 outside training. *)
+
 val load : string -> t -> unit
 (** Restores parameters into an existing model of identical config.
     @raise Runtime.Error.Runtime_error when neither the checkpoint nor
     its [.bak] copy is usable. *)
 
-val load_result : string -> t -> (Nn.Checkpoint.source, Runtime.Error.t) result
+val load_result :
+  string -> t -> (Nn.Checkpoint.source * int, Runtime.Error.t) result
 (** Like [load]; reports whether the primary or the [.bak] last-good
-    copy was restored instead of raising. *)
+    copy was restored, and its epoch count, instead of raising. *)

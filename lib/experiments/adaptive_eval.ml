@@ -95,9 +95,8 @@ let load_completed = function
         records;
       table)
 
-let run ?(alpha = Cdcl.Policy.default_alpha) ?progress ?journal
-    ?deadline_seconds ?(retries = 1) ?(jobs = 1) ?(isolate = false)
-    ?mem_limit_mb ?worker_deadline_seconds model simtime instances =
+let run ?progress ?journal ?deadline_seconds ?(jobs = 1) ?(isolate = false)
+    ?mem_limit_mb model simtime instances =
   let completed = load_completed journal in
   let resumed = ref 0 in
   let failures = ref [] in
@@ -113,12 +112,12 @@ let run ?(alpha = Cdcl.Policy.default_alpha) ?progress ?journal
   let measure (i : Gen.Dataset.instance) =
     let ( let* ) = Result.bind in
     let* kissat =
-      Runner.solve_protected ~retries ?deadline_seconds simtime
+      Runner.solve_protected ?deadline_seconds simtime
         Cdcl.Policy.Default i.formula
     in
-    let selection = Core.Selector.select_policy ~alpha model i.formula in
+    let selection = Core.Selector.select_policy model i.formula in
     let* adaptive =
-      Runner.solve_protected ~retries ?deadline_seconds simtime
+      Runner.solve_protected ?deadline_seconds simtime
         selection.Core.Selector.policy i.formula
     in
     Ok
@@ -215,13 +214,7 @@ let run ?(alpha = Cdcl.Policy.default_alpha) ?progress ?journal
       | Runtime.Pool.Failed msg -> fail c.Runtime.Pool.id msg
       | Runtime.Pool.Shed -> fail c.Runtime.Pool.id "shed: pool queue full"
     in
-    let limits =
-      {
-        Runtime.Supervisor.default_limits with
-        mem_limit_mb;
-        deadline_seconds = worker_deadline_seconds;
-      }
-    in
+    let limits = { Runtime.Supervisor.default_limits with mem_limit_mb } in
     let batch = Runtime.Pool.run_list ~jobs ~limits ~on_complete tasks in
     not_run := List.rev batch.Runtime.Pool.not_run;
     List.filter_map

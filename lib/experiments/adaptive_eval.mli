@@ -55,29 +55,27 @@ type t = {
 }
 
 val run :
-  ?alpha:float ->
   ?progress:(string -> unit) ->
   ?journal:string ->
   ?deadline_seconds:float ->
-  ?retries:int ->
   ?jobs:int ->
   ?isolate:bool ->
   ?mem_limit_mb:int ->
-  ?worker_deadline_seconds:float ->
   Core.Model.t ->
   Simtime.t ->
   Gen.Dataset.instance list ->
   t
 (** [journal] enables JSONL partial-result persistence and resume.
     [deadline_seconds] adds a per-solve wall-clock budget alongside
-    the propagation budget. [retries] (default 1) bounds per-instance
-    retry on crash.
+    the propagation budget. The selector runs at
+    {!Cdcl.Policy.default_alpha}, and a crashing instance is retried
+    once ({!Runner.solve_protected}).
 
     Supervised execution: when [jobs] > 1, [isolate] is set, or
     [mem_limit_mb] is given, every instance is measured in a forked
     {!Runtime.Supervisor} worker — [jobs] in flight at once, each
-    under the optional address-space cap and [worker_deadline_seconds]
-    wall budget, heartbeat-watchdogged, with crashed/hung workers
+    under the optional address-space cap, with no wall deadline of
+    its own, heartbeat-watchdogged, with crashed/hung workers
     retried (backoff) before being recorded as failures. The campaign
     drains gracefully on SIGINT/SIGTERM: in-flight instances finish
     and are journaled, the rest are reported in [not_run]. Worker

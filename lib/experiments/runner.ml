@@ -36,7 +36,7 @@ let solve ?deadline_seconds simtime policy formula =
 (* One instance must never take a campaign down: any exception from
    the solve is caught, retried once (transient faults recover), and
    finally surfaced as a typed error the caller can record. *)
-let solve_protected ?(retries = 1) ?deadline_seconds simtime policy formula =
+let solve_protected ?deadline_seconds simtime policy formula =
   let attempt () =
     if Runtime.Fault.fires Runtime.Fault.Instance_crash then
       Runtime.Error.raise_
@@ -50,4 +50,4 @@ let solve_protected ?(retries = 1) ?deadline_seconds simtime policy formula =
       if remaining > 0 then go (remaining - 1)
       else Error (Runtime.Error.of_exn ~context:"Runner.solve_protected" e)
   in
-  go (max 0 retries)
+  go 1

@@ -20,12 +20,11 @@ val solve_with_config :
     the sim-time budget). *)
 
 val solve_protected :
-  ?retries:int ->
   ?deadline_seconds:float ->
   Simtime.t ->
   Cdcl.Policy.t ->
   Cnf.Formula.t ->
   (run, Runtime.Error.t) result
 (** Exception-isolated solve for campaigns: any exception is caught
-    and retried [retries] times (default 1) before being returned as
-    a typed error, so one crashing instance cannot abort a sweep. *)
+    and retried once before being returned as a typed error, so one
+    crashing instance cannot abort a sweep. *)

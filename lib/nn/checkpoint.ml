@@ -1,14 +1,13 @@
 module Mat = Tensor.Mat
 module Error = Runtime.Error
 
-let magic = "NSCKPT"
-let version = 2
+let magic = "NSCKPT3"
 
 type source = Primary | Backup
 
 let backup_path path = path ^ ".bak"
 
-(* --- payload (v1 text format) --- *)
+(* --- payload --- *)
 
 let to_string params =
   let buf = Buffer.create 4096 in
@@ -103,56 +102,46 @@ let apply ~source table params =
       params;
     Ok ()
 
-(* --- envelope --- *)
+(* --- record --- *)
 
-let encode params =
-  let payload = to_string params in
-  Printf.sprintf "%s %d %s %d\n%s" magic version
-    (Runtime.Crc32.to_hex (Runtime.Crc32.string payload))
-    (String.length payload) payload
+let encode ~epochs params =
+  Runtime.Record.encode ~magic ~seq:epochs (to_string params)
 
-(* Returns the verified payload. Headerless text is accepted as a
-   legacy v1 checkpoint (no CRC protection). *)
+(* Read-only: an [NSCKPT 2 <crc32-hex> <payload-bytes>] file, the
+   format before the record, loads as 0 epochs. *)
+let decode_v2 text =
+  match String.index_opt text '\n' with
+  | None -> None
+  | Some nl -> (
+    let payload = String.sub text (nl + 1) (String.length text - nl - 1) in
+    match String.split_on_char ' ' (String.sub text 0 nl) with
+    | [ "NSCKPT"; "2"; crc; len ]
+      when int_of_string_opt len = Some (String.length payload)
+           && Runtime.Crc32.to_hex (Runtime.Crc32.string payload) = crc ->
+      Some payload
+    | _ -> None)
+
+(* The verified epoch count and payload. *)
 let decode ~source text =
   let corrupt detail = Error (Error.Corrupt { path = source; detail }) in
-  if not (String.length text >= String.length magic
-          && String.sub text 0 (String.length magic) = magic)
-  then Ok text
+  if String.starts_with ~prefix:"NSCKPT 2 " text then
+    match decode_v2 text with
+    | Some payload -> Ok (0, payload)
+    | None -> corrupt "damaged NSCKPT 2 checkpoint"
   else
-    match String.index_opt text '\n' with
-    | None -> corrupt "envelope missing payload"
-    | Some nl -> (
-      let header = String.sub text 0 nl in
-      let payload = String.sub text (nl + 1) (String.length text - nl - 1) in
-      match String.split_on_char ' ' header with
-      | [ _magic; v; crc_hex; len ] -> (
-        match (int_of_string_opt v, int_of_string_opt len) with
-        | Some v, _ when v <> version ->
-          corrupt (Printf.sprintf "unsupported checkpoint version %d" v)
-        | Some _, Some len ->
-          if String.length payload <> len then
-            corrupt
-              (Printf.sprintf "payload length %d does not match header %d"
-                 (String.length payload) len)
-          else if
-            Runtime.Crc32.to_hex (Runtime.Crc32.string payload) <> crc_hex
-          then corrupt "CRC mismatch (bit flip or torn write)"
-          else Ok payload
-        | _ -> corrupt "malformed envelope header")
-      | _ -> corrupt "malformed envelope header")
+    match Runtime.Record.decode ~magic text with
+    | Ok (epochs, payload, next) when next = String.length text ->
+      Ok (epochs, payload)
+    | Ok _ -> corrupt "trailing bytes after the checkpoint record"
+    | Error e -> corrupt (Runtime.Record.error_to_string e)
 
 let of_string_result ?(source = "<string>") text params =
   match decode ~source text with
   | Error _ as e -> e
-  | Ok payload -> (
+  | Ok (epochs, payload) -> (
     match parse_payload ~source payload with
     | Error _ as e -> e
-    | Ok table -> apply ~source table params)
-
-let of_string text params =
-  match of_string_result text params with
-  | Ok () -> ()
-  | Error e -> Error.raise_ e
+    | Ok table -> Result.map (fun () -> epochs) (apply ~source table params))
 
 (* --- file IO --- *)
 
@@ -166,40 +155,40 @@ let intact path params =
   | Ok text -> (
     match decode ~source:path text with
     | Error _ -> false
-    | Ok payload -> (
+    | Ok (_, payload) -> (
       match parse_payload ~source:path payload with
       | Error _ -> false
       | Ok table -> Result.is_ok (validate ~source:path table params)))
 
-let save_result path params =
+let save ~epochs path params =
   ignore (Runtime.Atomic_file.sweep_stale (Filename.dirname path));
-  let data = encode params in
+  let data = encode ~epochs params in
   (* Promote the current file to [.bak] before any byte of the new
      write lands, and only when it would load into [params] — so
      neither a torn write below nor a corrupt or empty current file can
      clobber the last-good copy. *)
   if Sys.file_exists path && intact path params then
     (try Sys.rename path (backup_path path) with Sys_error _ -> ());
-  if Runtime.Fault.fires Runtime.Fault.Torn_checkpoint_write then
-    (* Simulate power loss mid-write on a non-atomic writer: the
-       destination ends up with half the bytes and nobody is told.
-       Recovery must come from the CRC check + [.bak] fallback. *)
-    Runtime.Atomic_file.write_raw path
-      (String.sub data 0 (String.length data / 2))
-  else
-    let data =
-      if Runtime.Fault.fires Runtime.Fault.Checkpoint_bit_flip then begin
-        let b = Bytes.of_string data in
-        let i = String.length data - 2 in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-        Bytes.to_string b
-      end
-      else data
-    in
-    Runtime.Atomic_file.write path data
-
-let save path params =
-  match save_result path params with Ok () -> () | Error e -> Error.raise_ e
+  let written =
+    if Runtime.Fault.fires Runtime.Fault.Torn_checkpoint_write then
+      (* Simulate power loss mid-write on a non-atomic writer: the
+         destination ends up with half the bytes and nobody is told.
+         Recovery must come from the CRC check + [.bak] fallback. *)
+      Runtime.Atomic_file.write_raw path
+        (String.sub data 0 (String.length data / 2))
+    else
+      let data =
+        if Runtime.Fault.fires Runtime.Fault.Checkpoint_bit_flip then begin
+          let b = Bytes.of_string data in
+          let i = String.length data - 2 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+          Bytes.to_string b
+        end
+        else data
+      in
+      Runtime.Atomic_file.write path data
+  in
+  match written with Ok () -> () | Error e -> Error.raise_ e
 
 let load_result path params =
   let try_copy p =
@@ -208,13 +197,13 @@ let load_result path params =
     | Ok text -> of_string_result ~source:p text params
   in
   match try_copy path with
-  | Ok () -> Ok Primary
+  | Ok epochs -> Ok (Primary, epochs)
   | Error primary_error -> (
     let bak = backup_path path in
     if not (Sys.file_exists bak) then Error primary_error
     else
       match try_copy bak with
-      | Ok () -> Ok Backup
+      | Ok epochs -> Ok (Backup, epochs)
       | Error _ -> Error primary_error)
 
 let load path params =

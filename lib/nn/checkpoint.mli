@@ -3,16 +3,22 @@
     The payload is a plain text format — one [name rows cols] header
     line per parameter followed by its row-major values — so
     checkpoints diff cleanly and survive compiler upgrades (no
-    Marshal). On disk the payload is wrapped in a versioned envelope
+    Marshal). On disk the payload is one {!Runtime.Record} frame
 
-    {v NSCKPT <version> <crc32-hex> <payload-bytes> v}
+    {v NSCKPT3 <epochs:12 hex> <payload-bytes:8 hex> <crc32:8 hex> v}
 
-    whose CRC-32 is verified before any parameter is mutated, so bit
-    flips and truncation surface as typed errors rather than silently
-    corrupted weights. Writes are atomic (temp file + rename) and
-    promote the previous intact checkpoint to a [.bak] sibling;
-    [load_result] falls back to the [.bak] automatically when the
-    primary is damaged. Headerless legacy (v1) files still load. *)
+    whose seq is the number of completed training epochs (0 for a
+    checkpoint written outside training) and whose CRC-32 is verified
+    before any parameter is mutated, so bit flips and truncation
+    surface as typed errors rather than silently corrupted weights.
+    The epoch count sits outside the CRC, like every record's seq.
+    Writes are atomic (temp file + rename) and promote the previous
+    intact checkpoint to a [.bak] sibling; [load_result] falls back to
+    the [.bak] automatically when the primary is damaged.
+
+    Files in the earlier [NSCKPT 2 <crc32-hex> <payload-bytes>] format
+    still load, as 0 epochs; nothing writes it. A headerless payload
+    (the format before that) has no CRC and is [Corrupt]. *)
 
 type source =
   | Primary  (** The requested path itself. *)
@@ -21,11 +27,10 @@ type source =
 val backup_path : string -> string
 (** [path ^ ".bak"]. *)
 
-val save : string -> Param.t list -> unit
-(** Atomic versioned write; promotes an intact existing file to
-    [.bak]. @raise Runtime.Error.Runtime_error on IO failure. *)
-
-val save_result : string -> Param.t list -> (unit, Runtime.Error.t) result
+val save : epochs:int -> string -> Param.t list -> unit
+(** Atomic write of a checkpoint after [epochs] completed training
+    epochs; promotes an intact existing file to [.bak].
+    @raise Runtime.Error.Runtime_error on IO failure. *)
 
 val load : string -> Param.t list -> unit
 (** Restore values into an existing parameter list, matched by name,
@@ -34,21 +39,16 @@ val load : string -> Param.t list -> unit
     (IO failure, corruption, missing parameter, shape mismatch,
     duplicate parameter block). *)
 
-val load_result : string -> Param.t list -> (source, Runtime.Error.t) result
-(** Like [load] but reports which copy was used instead of raising.
-    Parameters are only mutated after the chosen copy fully
-    validates. *)
+val load_result :
+  string -> Param.t list -> (source * int, Runtime.Error.t) result
+(** Like [load] but reports which copy was used, and the epoch count
+    it was saved with, instead of raising. Parameters are only mutated
+    after the chosen copy fully validates. *)
 
-val to_string : Param.t list -> string
-(** Bare payload (no envelope). *)
-
-val encode : Param.t list -> string
-(** Payload wrapped in the versioned CRC envelope, exactly as written
-    to disk. *)
-
-val of_string : string -> Param.t list -> unit
-(** Parse a bare payload or an enveloped checkpoint.
-    @raise Runtime.Error.Runtime_error on any defect. *)
+val encode : epochs:int -> Param.t list -> string
+(** The checkpoint record, exactly as written to disk. *)
 
 val of_string_result :
-  ?source:string -> string -> Param.t list -> (unit, Runtime.Error.t) result
+  ?source:string -> string -> Param.t list -> (int, Runtime.Error.t) result
+(** Restore from a checkpoint's bytes and return its epoch count;
+    [source] names it in errors. *)

@@ -8,13 +8,6 @@ let read path =
   | s -> Ok s
   | exception e -> Error (Error.Io { path; op = "read"; message = Printexc.to_string e })
 
-let write_fd fd content =
-  let n = String.length content in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd content !written (n - !written)
-  done
-
 (* Persist the rename itself: fsyncing the file makes its *contents*
    durable, but the new directory entry lives in the parent directory's
    data — until that is flushed, a crash right after the rename can
@@ -34,7 +27,7 @@ let write ?(fsync = true) path content =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        write_fd fd content;
+        Fd.write_all fd content;
         if fsync then Unix.fsync fd);
     Unix.rename tmp path;
     if fsync then fsync_dir (Filename.dirname path)

@@ -1,7 +1,8 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over strings.
 
-    Used to checksum checkpoint payloads so bit flips and truncation
-    are detected before any parameter is mutated. *)
+    {!Record} checksums every payload it frames with it (WAL records,
+    snapshots, checkpoints), so bit flips and truncation are detected
+    before anything is replayed or restored. *)
 
 val string : string -> int
 (** Checksum of a whole string, in [0, 2^32). *)

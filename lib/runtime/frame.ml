@@ -1,21 +1,9 @@
 let max_frame = 64 * 1024 * 1024
 
-(* A signal landing mid-write (SIGCHLD from a reaped worker, SIGALRM,
-   a profiler tick) surfaces as EINTR; without the retry the exception
-   escapes between two partial writes and tears the frame for every
-   later message on the connection. *)
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd b !off (n - !off) with
-    | written -> off := !off + written
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
+(* A frame torn by a signal would desynchronise every later message on
+   the connection; [Fd.write_all] retries EINTR. *)
 let write fd payload =
-  write_all fd (Printf.sprintf "%d\n%s" (String.length payload) payload)
+  Fd.write_all fd (Printf.sprintf "%d\n%s" (String.length payload) payload)
 
 (* Buffered bytes live in [data] from [start] to [stop]. Once a
    frame's prefix is parsed, [start] is its payload and [len] its

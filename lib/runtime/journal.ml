@@ -25,11 +25,7 @@ let append path record =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let n = String.length line in
-        let written = ref 0 in
-        while !written < n do
-          written := !written + Unix.write_substring fd line !written (n - !written)
-        done;
+        Fd.write_all fd line;
         Unix.fsync fd)
   with
   | () -> Ok ()

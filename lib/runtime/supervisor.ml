@@ -63,13 +63,6 @@ let label t = t.label
    Runtime.Clock runs a fake source for deterministic measurements. *)
 let real_now () = Unix.gettimeofday ()
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
-
 let hb_byte = Bytes.of_string "h"
 
 (* Runs in the forked child; must never return and must never touch
@@ -113,7 +106,7 @@ let child_main limits ~inject_crash ~inject_hang result_w hb_w f =
        ignore
          (Unix.setitimer Unix.ITIMER_REAL
             { Unix.it_interval = 0.0; it_value = 0.0 });
-       write_all result_w payload
+       Fd.write_all result_w payload
      end
    with _ -> ());
   (try Unix.close result_w with _ -> ());

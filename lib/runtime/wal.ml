@@ -2,24 +2,20 @@
 
    On disk a log directory holds:
 
-     wal-<lsn12>.seg    segments of framed records; the filename is the
-                        LSN of the segment's first record
+     wal-<lsn12>.seg    segments of records; the filename is the LSN
+                        of the segment's first record
      snap-<lsn12>.snap  snapshots written atomically (temp + rename)
 
-   Each record is framed as
-
-     "NSWAL1 " <lsn:12hex> " " <len:8hex> " " <crc:8hex> "\n" payload "\n"
-
-   so recovery can validate every frame: magic, monotonically
+   A record is one [Record] frame with magic NSWAL1 and seq = its LSN,
+   followed by a newline; a snapshot file is one NSSNAP1 frame whose
+   seq is the LSN it covers. Recovery validates every frame: magic,
    consecutive LSNs, exact payload length, CRC-32 of the payload. The
    first invalid frame is where the durable prefix ends — everything
    from there on is a torn tail (crash mid-write) or trailing garbage,
    and is truncated. *)
 
-let record_magic = "NSWAL1 "
-let snap_magic = "NSSNAP1 "
-let record_header_len = 7 + 12 + 1 + 8 + 1 + 8 + 1
-let snap_header_len = 8 + 12 + 1 + 8 + 1 + 8 + 1
+let record_magic = "NSWAL1"
+let snap_magic = "NSSNAP1"
 
 type recovery = {
   snapshot : (int * string) option;
@@ -47,29 +43,10 @@ type t = {
 
 let io ~dir ~op message = Error.Io { path = dir; op; message }
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
 let rec ensure_dir d =
   if d <> Filename.dirname d && not (Sys.file_exists d) then begin
     ensure_dir (Filename.dirname d);
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let is_hex c = match c with '0' .. '9' | 'a' .. 'f' -> true | _ -> false
-
-(* Fixed-width lowercase hex field, or None. *)
-let hex_field s off len =
-  if off + len > String.length s then None
-  else begin
-    let ok = ref true in
-    for i = off to off + len - 1 do
-      if not (is_hex s.[i]) then ok := false
-    done;
-    if !ok then int_of_string_opt ("0x" ^ String.sub s off len) else None
   end
 
 let seg_name lsn = Printf.sprintf "wal-%012d.seg" lsn
@@ -91,71 +68,34 @@ let parse_numbered ~prefix ~suffix name =
   else None
 
 let frame_record ~lsn payload =
-  Printf.sprintf "%s%012x %08x %08x\n%s\n" record_magic lsn
-    (String.length payload) (Crc32.string payload) payload
+  Record.encode ~magic:record_magic ~seq:lsn payload ^ "\n"
 
 (* --- segment scanning --------------------------------------------------- *)
 
 (* Validate frames sequentially from [text]. Returns the records in
    order, the byte offset of the end of the last valid frame, and the
    next expected LSN. Stops (without raising) at the first invalid
-   frame: bad magic, non-consecutive LSN, short payload, missing
-   terminator, or CRC mismatch. *)
+   frame: any [Record] error, a non-consecutive LSN, or a missing
+   terminator. *)
 let scan_segment ~expected_lsn text =
-  let n = String.length text in
-  let records = ref [] in
-  let expected = ref expected_lsn in
-  let off = ref 0 in
-  let good = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if !off + record_header_len > n then continue := false
-    else if String.sub text !off 7 <> record_magic then continue := false
-    else begin
-      match
-        ( hex_field text (!off + 7) 12,
-          text.[!off + 19],
-          hex_field text (!off + 20) 8,
-          text.[!off + 28],
-          hex_field text (!off + 29) 8,
-          text.[!off + 37] )
-      with
-      | Some lsn, ' ', Some len, ' ', Some crc, '\n'
-        when lsn = !expected && !off + record_header_len + len + 1 <= n -> (
-        let payload = String.sub text (!off + record_header_len) len in
-        if
-          text.[!off + record_header_len + len] = '\n'
-          && Crc32.string payload = crc
-        then begin
-          records := (lsn, payload) :: !records;
-          off := !off + record_header_len + len + 1;
-          good := !off;
-          incr expected
-        end
-        else continue := false)
-      | _ -> continue := false
-    end
-  done;
-  (List.rev !records, !good, !expected)
+  let rec go records off expected =
+    match Record.decode ~magic:record_magic ~off text with
+    | Ok (lsn, payload, next)
+      when lsn = expected && next < String.length text && text.[next] = '\n' ->
+      go ((lsn, payload) :: records) (next + 1) (expected + 1)
+    | _ -> (List.rev records, off, expected)
+  in
+  go [] 0 expected_lsn
 
-let load_snapshot path =
+(* The file's one frame, whose LSN must be the one in its name. *)
+let load_snapshot ~lsn path =
   match Atomic_file.read path with
   | Error _ -> None
-  | Ok text ->
-    if
-      String.length text >= snap_header_len
-      && String.sub text 0 8 = snap_magic
-      && text.[snap_header_len - 1] = '\n'
-    then
-      match
-        (hex_field text 8 12, hex_field text 21 8, hex_field text 30 8)
-      with
-      | Some lsn, Some len, Some crc
-        when String.length text = snap_header_len + len ->
-        let payload = String.sub text snap_header_len len in
-        if Crc32.string payload = crc then Some (lsn, payload) else None
-      | _ -> None
-    else None
+  | Ok text -> (
+    match Record.decode ~magic:snap_magic text with
+    | Ok (seq, payload, next) when seq = lsn && next = String.length text ->
+      Some (lsn, payload)
+    | _ -> None)
 
 (* --- open + recovery ---------------------------------------------------- *)
 
@@ -181,11 +121,11 @@ let open_dir ?(segment_bytes = 4 * 1024 * 1024) dir =
     let corrupt_snapshots = ref 0 in
     let snapshot =
       List.fold_left
-        (fun acc (_, path) ->
+        (fun acc (lsn, path) ->
           match acc with
           | Some _ -> acc
           | None -> (
-            match load_snapshot path with
+            match load_snapshot ~lsn path with
             | Some s -> Some s
             | None ->
               incr corrupt_snapshots;
@@ -350,12 +290,12 @@ let append t payload =
         (* Crash mid-write: a prefix of the frame reaches the file and
            the handle is unusable, exactly like a process death. *)
         let torn = max 1 (String.length record / 2) in
-        (try write_all t.fd record 0 torn with _ -> ());
+        (try Fd.write_all t.fd (String.sub record 0 torn) with _ -> ());
         t.broken <- true;
         Error (Error.Injected_fault { point = Fault.name Fault.Wal_torn_append })
       end
       else begin
-        write_all t.fd record 0 (String.length record);
+        Fd.write_all t.fd record;
         t.dirty <- true;
         t.seg_size <- t.seg_size + String.length record;
         t.seg_records <- t.seg_records + 1;
@@ -414,10 +354,7 @@ let snapshot t payload =
   if t.closed then Error (io ~dir:t.dir ~op:"wal-snapshot" "log closed")
   else begin
     let lsn = t.next_lsn - 1 in
-    let content =
-      Printf.sprintf "%s%012x %08x %08x\n%s" snap_magic lsn
-        (String.length payload) (Crc32.string payload) payload
-    in
+    let content = Record.encode ~magic:snap_magic ~seq:lsn payload in
     let path = Filename.concat t.dir (snap_name lsn) in
     if Fault.fires Fault.Wal_snapshot_crash then begin
       (* Crash mid-snapshot: a torn file lands at the destination

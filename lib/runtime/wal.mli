@@ -2,10 +2,12 @@
 
     The log is a directory of segment files ([wal-<lsn>.seg], named by
     the log sequence number of their first record) plus optional
-    snapshot files ([snap-<lsn>.snap]). Every record is framed with a
-    magic string, its LSN, its payload length, and a CRC-32 of the
-    payload, so recovery can tell a complete record from the torn tail
-    a crash (or power loss) leaves behind.
+    snapshot files ([snap-<lsn>.snap]). Every record is one
+    {!Record} frame (magic [NSWAL1], seq = its LSN: the magic, the LSN,
+    the payload length and a CRC-32 of the payload) followed by a
+    newline, so recovery can tell a complete record from the torn tail
+    a crash (or power loss) leaves behind. A snapshot file is one
+    [NSSNAP1] frame whose seq is the LSN it covers.
 
     Durability contract: every {!append} fsyncs its record before it
     returns [Ok], so a record is durable once its append has returned.
@@ -13,8 +15,9 @@
     an operation to a client before the corresponding append has
     returned.
 
-    Recovery ({!open_dir}) loads the newest CRC-valid snapshot (corrupt
-    snapshots fall back to older ones), then scans segments in LSN
+    Recovery ({!open_dir}) loads the newest CRC-valid snapshot whose
+    LSN matches its file name (corrupt snapshots fall back to older
+    ones), then scans segments in LSN
     order validating every frame. The first invalid frame marks the end
     of the durable prefix: the segment is truncated there and any later
     segments are dropped. Records with LSNs at or below the snapshot
@@ -34,7 +37,8 @@ type recovery = {
   dropped_segments : int;
       (** Whole segments discarded after a mid-log corruption. *)
   corrupt_snapshots : int;
-      (** Snapshot files that failed CRC/format validation. *)
+      (** Snapshot files that failed CRC/format validation or named
+          another LSN than their header. *)
 }
 
 val open_dir : ?segment_bytes:int -> string -> (t * recovery, Error.t) result

@@ -70,6 +70,33 @@ type pending_req = {
   pr_degraded : bool; (* the selection fell back to the default policy *)
 }
 
+(* A client reads frames from [input] and is answered on [output]: one
+   socket for a connection, stdin and stdout for the stdio pair. *)
+type client = {
+  input : Unix.file_descr;
+  output : Unix.file_descr;
+  reader : Runtime.Frame.reader;
+  mutable reading : bool; (* input not at EOF *)
+  mutable writable : bool; (* no write has failed *)
+  mutable awaiting : int; (* frames read but not yet answered *)
+}
+
+let new_client input output =
+  {
+    input;
+    output;
+    reader = Runtime.Frame.create_reader ();
+    reading = true;
+    writable = true;
+    awaiting = 0;
+  }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let close_client c =
+  close_quietly c.input;
+  if c.output <> c.input then close_quietly c.output
+
 type t = {
   config : config;
   pool : Runtime.Pool.t;
@@ -78,6 +105,8 @@ type t = {
   mutable next_req : int;
   mutable draining : bool;
   mutable last_sweep : float; (* idle-session TTL sweeps *)
+  mutable listener : Unix.file_descr option; (* while [serve] accepts *)
+  mutable clients : client list; (* [serve]'s open clients *)
 }
 
 let log t fmt =
@@ -177,6 +206,8 @@ let create (config : config) =
         next_req = 0;
         draining = false;
         last_sweep = Unix.gettimeofday ();
+        listener = None;
+        clients = [];
       }
     in
     t_ref := Some t;
@@ -226,6 +257,20 @@ let handle_metrics t ~id reply =
          ("wal", J.Bool (t.config.store.Store.wal_dir <> None));
          ("draining", J.Bool t.draining);
        ])
+
+(* The worker is forked without exec, so it starts out holding the
+   server's listener and client sockets. It closes them first: a server
+   that stops listening must refuse new connections at once, not leave
+   them queued on a socket a worker still holds. Stdio (0-2) stays
+   open, and so does every other descriptor (the NS_TRACE span sink
+   among them). *)
+let close_inherited t =
+  Option.iter close_quietly t.listener;
+  List.iter
+    (fun c ->
+      if not (List.mem c.input Unix.[ stdin; stdout; stderr ]) then
+        close_client c)
+    t.clients
 
 let handle_solve t ~id reply fields =
   let deadline_s =
@@ -296,8 +341,9 @@ let handle_solve t ~id reply fields =
     in
     (* Shed submissions complete synchronously through on_pool_complete. *)
     ignore
-      (Runtime.Pool.submit t.pool ~limits ~id:pool_id
-         (worker_solve ~deadline_s ~policy dimacs))
+      (Runtime.Pool.submit t.pool ~limits ~id:pool_id (fun () ->
+           close_inherited t;
+           worker_solve ~deadline_s ~policy dimacs ()))
 
 (* Session input follows the DIMACS clause rule: a clause is decimal
    integers ending in a single 0 (so "0" is the empty clause), and
@@ -470,33 +516,6 @@ let drain t =
 
 (* --- event loop --------------------------------------------------------- *)
 
-(* A client reads frames from [input] and is answered on [output]: one
-   socket for a connection, stdin and stdout for the stdio pair. *)
-type client = {
-  input : Unix.file_descr;
-  output : Unix.file_descr;
-  reader : Runtime.Frame.reader;
-  mutable reading : bool; (* input not at EOF *)
-  mutable writable : bool; (* no write has failed *)
-  mutable awaiting : int; (* frames read but not yet answered *)
-}
-
-let new_client input output =
-  {
-    input;
-    output;
-    reader = Runtime.Frame.create_reader ();
-    reading = true;
-    writable = true;
-    awaiting = 0;
-  }
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let close_client c =
-  close_quietly c.input;
-  if c.output <> c.input then close_quietly c.output
-
 (* Long enough for a reading client to take a socket buffer's worth of
    a large reply; short enough that one that stopped reading stalls the
    loop only briefly before it is dropped. *)
@@ -541,37 +560,37 @@ let accept listener =
 
 let serve t ?listener initial =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listener = ref listener in
-  let clients = ref (List.map (fun (i, o) -> new_client i o) initial) in
+  t.listener <- listener;
+  t.clients <- List.map (fun (i, o) -> new_client i o) initial;
   let stop = ref false in
   while not !stop do
     if Runtime.Shutdown.requested () && not t.draining then begin
       t.draining <- true;
-      Option.iter close_quietly !listener;
-      listener := None
+      Option.iter close_quietly t.listener;
+      t.listener <- None
     end;
-    let reading = List.filter (fun c -> c.reading) !clients in
+    let reading = List.filter (fun c -> c.reading) t.clients in
     (* Worker pipes wake the loop when a solve finishes. The timeout
        only paces the watchdog, deadlines, retry backoff and the idle
        sweep. *)
     let readable, _, _ =
       try
         Unix.select
-          (Option.to_list !listener
+          (Option.to_list t.listener
           @ List.map (fun c -> c.input) reading
           @ Runtime.Pool.wait_fds t.pool)
           [] [] 0.05
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    (match !listener with
+    (match t.listener with
     | Some l when List.mem l readable ->
-      Option.iter (fun c -> clients := c :: !clients) (accept l)
+      Option.iter (fun c -> t.clients <- c :: t.clients) (accept l)
     | _ -> ());
     List.iter
       (fun c -> if List.mem c.input readable then read_client t c)
       reading;
     pump t;
-    clients :=
+    t.clients <-
       List.filter
         (fun c ->
           if c.writable && (c.reading || c.awaiting > 0) then true
@@ -579,10 +598,11 @@ let serve t ?listener initial =
             close_client c;
             false
           end)
-        !clients;
+        t.clients;
     stop :=
       t.draining
-      || (!listener = None && not (List.exists (fun c -> c.reading) !clients))
+      || (t.listener = None && not (List.exists (fun c -> c.reading) t.clients))
   done;
   drain t;
-  List.iter close_client !clients
+  List.iter close_client t.clients;
+  t.clients <- []

@@ -73,41 +73,43 @@ let param_values (ps : Nn.Param.t list) =
 let torn_write_falls_back ~seed ~dir () =
   let path = Filename.concat dir "torn.ckpt" in
   let good = params_of_floats "w" [ 1.0; 2.0; 3.0 ] in
-  Nn.Checkpoint.save path good;
+  Nn.Checkpoint.save ~epochs:1 path good;
   (* Second save is torn mid-write: the intact first save was promoted
      to .bak, the primary holds half a file. *)
   Fault.arm ~seed ~limit:1 [ Fault.Torn_checkpoint_write ];
   let updated = params_of_floats "w" [ 9.0; 9.0; 9.0 ] in
-  Nn.Checkpoint.save path updated;
+  Nn.Checkpoint.save ~epochs:2 path updated;
   Fault.disarm ();
   check (Fault.fired_count Fault.Torn_checkpoint_write <= 1) "fault fired twice";
   let restored = params_of_floats "w" [ 0.0; 0.0; 0.0 ] in
   match Nn.Checkpoint.load_result path restored with
-  | Ok Nn.Checkpoint.Backup ->
+  | Ok (Nn.Checkpoint.Backup, epochs) ->
     check (param_values restored = [ 1.0; 2.0; 3.0 ]) "backup values wrong";
-    "torn primary detected; .bak restored the last-good weights"
-  | Ok Nn.Checkpoint.Primary -> failwith "torn primary loaded as intact"
+    check (epochs = 1) "backup epoch count wrong";
+    "torn primary detected; .bak restored the last-good weights and epoch"
+  | Ok (Nn.Checkpoint.Primary, _) -> failwith "torn primary loaded as intact"
   | Error e -> failwith ("no fallback: " ^ Error.to_string e)
 
 let bit_flip_falls_back ~seed ~dir () =
   let path = Filename.concat dir "flip.ckpt" in
   let good = params_of_floats "w" [ 4.0; 5.0 ] in
-  Nn.Checkpoint.save path good;
+  Nn.Checkpoint.save ~epochs:0 path good;
   Fault.arm ~seed ~limit:1 [ Fault.Checkpoint_bit_flip ];
-  Nn.Checkpoint.save path (params_of_floats "w" [ 7.0; 7.0 ]);
+  Nn.Checkpoint.save ~epochs:0 path (params_of_floats "w" [ 7.0; 7.0 ]);
   Fault.disarm ();
   let restored = params_of_floats "w" [ 0.0; 0.0 ] in
   match Nn.Checkpoint.load_result path restored with
-  | Ok Nn.Checkpoint.Backup ->
+  | Ok (Nn.Checkpoint.Backup, _) ->
     check (param_values restored = [ 4.0; 5.0 ]) "backup values wrong";
     "CRC caught the bit flip; .bak restored the last-good weights"
-  | Ok Nn.Checkpoint.Primary -> failwith "bit-flipped checkpoint passed CRC"
+  | Ok (Nn.Checkpoint.Primary, _) ->
+    failwith "bit-flipped checkpoint passed CRC"
   | Error e -> failwith ("no fallback: " ^ Error.to_string e)
 
 let corruption_without_backup ~seed:_ ~dir () =
   let path = Filename.concat dir "orphan.ckpt" in
   let good = params_of_floats "w" [ 1.0 ] in
-  Nn.Checkpoint.save path good;
+  Nn.Checkpoint.save ~epochs:0 path good;
   (* Flip one payload byte by hand; no .bak exists for this path. *)
   let text =
     match Runtime.Atomic_file.read path with Ok t -> t | Error _ -> failwith "read"
@@ -127,7 +129,7 @@ let corruption_without_backup ~seed:_ ~dir () =
 
 let duplicate_parameter_rejected ~seed:_ ~dir:_ () =
   let p = params_of_floats "w" [ 1.0; 2.0 ] in
-  let doubled = Nn.Checkpoint.to_string p ^ Nn.Checkpoint.to_string p in
+  let doubled = Nn.Checkpoint.encode ~epochs:0 (p @ p) in
   let target = params_of_floats "w" [ 0.0; 0.0 ] in
   match Nn.Checkpoint.of_string_result doubled target with
   | Error (Error.Corrupt { detail; _ }) ->
@@ -136,7 +138,7 @@ let duplicate_parameter_rejected ~seed:_ ~dir:_ () =
       ("wrong detail: " ^ detail);
     "duplicate parameter block raised a typed error"
   | Error e -> failwith ("wrong error class: " ^ Error.to_string e)
-  | Ok () -> failwith "duplicate parameter block accepted"
+  | Ok _ -> failwith "duplicate parameter block accepted"
 
 (* --- training scenario --- *)
 

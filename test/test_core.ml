@@ -183,7 +183,7 @@ let test_model_save_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let before = Core.Model.predict model small_graph in
-      Core.Model.save path model;
+      Core.Model.save ~epochs:0 path model;
       let fresh = Core.Model.create { Core.Model.small_config with seed = 123 } in
       checkb "fresh differs" true (Core.Model.predict fresh small_graph <> before);
       Core.Model.load path fresh;
@@ -609,7 +609,7 @@ let test_selector_cache_invalidated_by_load () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Core.Model.save path model;
+      Core.Model.save ~epochs:0 path model;
       Core.Model.load path model;
       checkb "load bumps generation" true (Core.Model.generation model > gen0);
       let evictions_before = (Core.Selector.cache_stats ()).Core.Selector.evictions in

@@ -123,7 +123,7 @@ let test_solve_protected_retries () =
         (Runtime.Fault.fired_count Runtime.Fault.Instance_crash);
       (* Crashes beyond the retry budget become a typed error. *)
       Runtime.Fault.arm ~seed:9 [ Runtime.Fault.Instance_crash ];
-      match Experiments.Runner.solve_protected ~retries:2 t Cdcl.Policy.Default f with
+      match Experiments.Runner.solve_protected t Cdcl.Policy.Default f with
       | Error (Runtime.Error.Injected_fault _) -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (Runtime.Error.to_string e)
       | Ok _ -> Alcotest.fail "persistent crash must surface as an error")

@@ -990,6 +990,127 @@ let prop_wal_roundtrip =
           List.map snd r.Runtime.Wal.records = payloads
           && r.Runtime.Wal.truncated_bytes = 0))
 
+(* fixtures/wal was written by the WAL before its frames moved onto
+   Runtime.Record: five records (an empty one and one holding a fake
+   header among them) filling a segment, a snapshot at LSN 5, five
+   more records over two segments, then an injected torn append of
+   record 11. It must recover exactly as that code recovered it. *)
+let test_wal_compat_fixture () =
+  with_temp_dir (fun dir ->
+      Array.iter
+        (fun name ->
+          let text =
+            In_channel.with_open_bin (Filename.concat "fixtures/wal" name)
+              In_channel.input_all
+          in
+          Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+              Out_channel.output_string oc text))
+        (Sys.readdir "fixtures/wal");
+      let wal, r = wal_open_ok ~segment_bytes:4096 dir in
+      (match r.Runtime.Wal.snapshot with
+      | Some (5, "state at 5\n{\"k\":\"v\"}") -> ()
+      | Some (lsn, s) -> Alcotest.failf "snapshot (%d, %S)" lsn s
+      | None -> Alcotest.fail "snapshot not recovered");
+      let payload i =
+        Printf.sprintf "rec-%02d %s" i (String.make 1500 (Char.chr (96 + i)))
+      in
+      checkb "records 6..10 replay" true
+        (r.Runtime.Wal.records
+        = List.init 5 (fun k -> (k + 6, payload (k + 6))));
+      checki "torn tail bytes" 773 r.Runtime.Wal.truncated_bytes;
+      checki "dropped segments" 0 r.Runtime.Wal.dropped_segments;
+      checki "corrupt snapshots" 0 r.Runtime.Wal.corrupt_snapshots;
+      checki "segments" 3 (Runtime.Wal.segment_count wal);
+      checki "append resumes at 11" 11 (wal_append_ok wal "eleven");
+      Runtime.Wal.close wal)
+
+(* --- the framed record ------------------------------------------------- *)
+
+let record_magics = [| "NSWAL1"; "NSSNAP1"; "NSCKPT3" |]
+
+(* A magic, a seq below 2^48 and a payload: arbitrary bytes, or text
+   that holds newlines and another frame's header. *)
+let record_case =
+  let open QCheck.Gen in
+  let header_like =
+    map3
+      (fun m seq p ->
+        Runtime.Record.encode ~magic:record_magics.(m) ~seq p ^ "\n" ^ p)
+      (int_bound 2) (int_bound 1000) (string_size ~gen:printable (int_bound 20))
+  in
+  QCheck.make
+    ~print:(fun (m, seq, p) ->
+      Printf.sprintf "(%s, %d, %S)" record_magics.(m) seq p)
+    (triple (int_bound 2)
+       (map (fun x -> x land (1 lsl 48 - 1)) int)
+       (oneof [ string_size (int_bound 64); header_like ]))
+
+let prop_record_roundtrip =
+  QCheck.Test.make ~name:"record round trip" ~count:300 record_case
+    (fun (m, seq, payload) ->
+      let magic = record_magics.(m) in
+      let frame = Runtime.Record.encode ~magic ~seq payload in
+      let junk = "x\n" in
+      Runtime.Record.decode ~magic frame
+      = Ok (seq, payload, String.length frame)
+      && Runtime.Record.decode ~magic ~off:2 (junk ^ frame ^ frame)
+         = Ok (seq, payload, 2 + String.length frame))
+
+let prop_record_prefix_truncated =
+  QCheck.Test.make ~name:"record prefixes are truncated" ~count:100 record_case
+    (fun (m, seq, payload) ->
+      let magic = record_magics.(m) in
+      let frame = Runtime.Record.encode ~magic ~seq payload in
+      List.for_all
+        (fun k ->
+          Runtime.Record.decode ~magic (String.sub frame 0 k)
+          = Error Runtime.Record.Truncated)
+        (List.init (String.length frame) Fun.id))
+
+(* A flip anywhere but in the seq digits is an error. The CRC covers
+   the payload only, so a flip there that leaves a hex digit yields
+   the same payload under another seq, for the user to reject; never
+   a wrong payload, and never an exception. *)
+let prop_record_bit_flips =
+  QCheck.Test.make ~name:"record bit flips detected" ~count:100 record_case
+    (fun (m, seq, payload) ->
+      let magic = record_magics.(m) in
+      let frame = Runtime.Record.encode ~magic ~seq payload in
+      let n = String.length frame in
+      let ml = String.length magic in
+      let seq_digits i = i > ml && i <= ml + 12 in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun bit ->
+              let b = Bytes.of_string frame in
+              Bytes.set b i (Char.chr (Char.code frame.[i] lxor (1 lsl bit)));
+              match Runtime.Record.decode ~magic (Bytes.to_string b) with
+              | Error _ -> true
+              | Ok (seq', payload', next) ->
+                seq_digits i && seq' <> seq && payload' = payload && next = n)
+            [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+        (List.init n Fun.id))
+
+(* A length field at least 1 MiB beyond what follows is [Truncated],
+   and decode allocates nothing of that size. The minor heap is
+   emptied first, so no collection falls inside the measured call. *)
+let prop_record_hostile_length =
+  QCheck.Test.make ~name:"record hostile length" ~count:200
+    QCheck.(
+      pair (int_range (1 lsl 20) 0xffffffff) (string_of_size (Gen.int_bound 64)))
+    (fun (extra, payload) ->
+      let declared = String.length payload + extra in
+      let frame =
+        Printf.sprintf "NSCKPT3 %012x %08x %08x\n%s" 3 (min declared 0xffffffff)
+          (Runtime.Crc32.string payload) payload
+      in
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let r = Runtime.Record.decode ~magic:"NSCKPT3" frame in
+      let allocated = Gc.allocated_bytes () -. before in
+      r = Error Runtime.Record.Truncated && allocated < 65536.0)
+
 (* --- strict decimal length prefixes --- *)
 
 let test_frame_strict_decimal () =
@@ -1037,4 +1158,9 @@ let suite =
       Alcotest.test_case "wal LSN gap fails loudly" `Quick
         test_wal_gap_fails_loudly;
       QCheck_alcotest.to_alcotest prop_wal_roundtrip;
+      Alcotest.test_case "wal compat fixture" `Quick test_wal_compat_fixture;
+      QCheck_alcotest.to_alcotest prop_record_roundtrip;
+      QCheck_alcotest.to_alcotest prop_record_prefix_truncated;
+      QCheck_alcotest.to_alcotest prop_record_bit_flips;
+      QCheck_alcotest.to_alcotest prop_record_hostile_length;
     ]

@@ -1018,6 +1018,65 @@ let test_server_answers_without_the_tick () =
   checkb "server drained, reaped every worker and exited 0" true
     (exit_status = Unix.WEXITED 0)
 
+(* A solve worker is forked without exec and closes the listening
+   socket it inherits. After SIGTERM the server closes its listener, so
+   a new connect is refused at once while a 2 s solve still runs; a
+   worker that kept the listener would accept it into its backlog. *)
+let test_server_refuses_after_sigterm () =
+  let hard =
+    Cnf.Dimacs.to_string (Gen.Pigeonhole.generate ~pigeons:12 ~holes:11)
+  in
+  let (), exit_status =
+    with_served_socket (fun path pid ->
+        let c = connect path in
+        send c
+          [
+            op "solve";
+            id "slow";
+            ("dimacs", J.String hard);
+            ("deadline_s", J.Float 2.0);
+          ];
+        let probe = connect path in
+        let rec running tries =
+          match rpc_fields probe [ op "metrics" ] with
+          | Some m when J.find_int m "in_flight" = Some 1 -> ()
+          | Some _ when tries > 0 ->
+            Unix.sleepf 0.01;
+            running (tries - 1)
+          | _ -> Alcotest.fail "the solve never started"
+        in
+        running 500;
+        Unix.close probe.fd;
+        let t0 = Unix.gettimeofday () in
+        Unix.kill pid Sys.sigterm;
+        (* The server closes its listener when the signal wakes its
+           loop; give that 1 s, half the solve's deadline. A connect is
+           non-blocking: once a held listener's backlog fills, it would
+           wait for the worker's exit. *)
+        let rec refused () =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.set_nonblock fd;
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
+            Unix.close fd
+          | () | (exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINPROGRESS), _, _))
+            ->
+            Unix.close fd;
+            if Unix.gettimeofday () -. t0 > 1.0 then
+              Alcotest.fail "a connect after SIGTERM was not refused"
+            else begin
+              Unix.sleepf 0.05;
+              refused ()
+            end
+        in
+        refused ();
+        (match Option.bind (recv c) J.parse_line with
+        | Some r -> checks "the in-flight solve is answered" "ok" (status r)
+        | None -> Alcotest.fail "the in-flight solve got no reply");
+        Unix.close c.fd)
+  in
+  checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
+
 (* Burst and drain over real sockets. Four clients overflow 2 jobs
    and a queue of 2 with solves that run for their 1 s deadline, and
    the server is SIGTERMed while they are in flight. Each client's
@@ -1299,6 +1358,8 @@ let suite =
       test_server_large_reply_whole;
     Alcotest.test_case "server answers without the tick" `Quick
       test_server_answers_without_the_tick;
+    Alcotest.test_case "server refuses connects after sigterm" `Quick
+      test_server_refuses_after_sigterm;
     Alcotest.test_case "server sigterm mid burst" `Quick
       test_server_sigterm_mid_burst;
     Alcotest.test_case "server sigkill restart over wal" `Quick
