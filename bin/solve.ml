@@ -60,9 +60,13 @@ let solve_one file policy_str adaptive checkpoint proof simplify inprocess
         | None ->
           prerr_endline "c warning: adaptive mode without --checkpoint uses untrained weights");
         let selection, result, stats = Core.Selector.solve_adaptive ~config model formula in
-        Printf.printf "c adaptive selection: %s (p=%.3f, inference %.3fs)\n"
-          (Cdcl.Policy.name selection.Core.Selector.policy)
-          selection.Core.Selector.probability selection.Core.Selector.inference_seconds;
+        (match selection with
+        | Some s ->
+          Printf.printf "c adaptive selection: %s (p=%.3f, inference %.3fs)\n"
+            (Cdcl.Policy.name s.Core.Selector.policy)
+            s.Core.Selector.probability s.Core.Selector.inference_seconds
+        | None ->
+          print_endline "c adaptive selection: none (solved before the first reduce)");
         (result, stats)
       end
       else begin

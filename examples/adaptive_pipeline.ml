@@ -35,13 +35,20 @@ let () =
     let selection, result, stats =
       Core.Selector.solve_adaptive model l.Experiments.Data.instance.Gen.Dataset.formula
     in
-    Format.printf "   %-20s -> %-9s policy %-14s (p=%.2f) props %d@."
+    (* The selection runs at the first reduce: [None] when the solve
+       ended before one. *)
+    Format.printf "   %-20s -> %-9s policy %-14s (p=%s) props %d@."
       l.Experiments.Data.instance.Gen.Dataset.name
       (match result with
       | Cdcl.Solver.Sat _ -> "SAT"
       | Cdcl.Solver.Unsat -> "UNSAT"
       | Cdcl.Solver.Unknown -> "UNKNOWN")
-      (Cdcl.Policy.name selection.Core.Selector.policy)
-      selection.Core.Selector.probability stats.Cdcl.Solver_stats.propagations
+      (match selection with
+      | Some s -> Cdcl.Policy.name s.Core.Selector.policy
+      | None -> "none")
+      (match selection with
+      | Some s -> Printf.sprintf "%.2f" s.Core.Selector.probability
+      | None -> "-")
+      stats.Cdcl.Solver_stats.propagations
   in
   List.iter solve_one data.Experiments.Data.test

@@ -64,7 +64,7 @@ type restart_state =
    between solves (they are reallocated with geometric slack; hot loops
    re-hoist them on every call, so a swap between calls is safe). *)
 type t = {
-  cfg : Config.t;
+  mutable cfg : Config.t; (* its policy is replaced once, by [policy_hook] *)
   mutable n : int;
   stats : Solver_stats.t;
   (* assignment state *)
@@ -113,6 +113,7 @@ type t = {
   mutable in_solve : bool; (* re-entrancy guard for the state machine *)
   mutable answer : result option;
   mutable trace : (trace_event -> unit) option;
+  mutable policy_hook : (unit -> Policy.t) option; (* one-shot, see [reduce] *)
   mutable assumptions : Lit.t array;
   mutable core : Lit.t list option;
 }
@@ -766,7 +767,15 @@ let reduce_body t =
   end;
   Array.fill pc 0 (Array.length pc) 0
 
+(* A pending policy hook fixes the policy just before this pass. The
+   policy is read only by [reduce_body]'s ranking key, so the search up
+   to here is the same whatever the hook returns. *)
 let reduce t =
+  (match t.policy_hook with
+  | Some hook ->
+    t.policy_hook <- None;
+    t.cfg <- Config.with_policy (hook ()) t.cfg
+  | None -> ());
   if Obs.Trace.enabled () then
     Obs.Trace.with_span "solver.reduce" (fun () ->
         Obs.Metrics.time h_reduce_seconds (fun () -> reduce_body t))
@@ -1333,6 +1342,7 @@ let create ?(config = Config.default) formula =
       in_solve = false;
       answer = None;
       trace = None;
+      policy_hook = None;
       assumptions = [||];
       core = None;
     }
@@ -1753,6 +1763,7 @@ let tier_counts t =
     t.learnts;
   (!core, !mid, !local)
 
+let on_first_reduce t hook = t.policy_hook <- Some hook
 let set_trace t f = t.trace <- Some f
 let clear_trace t = t.trace <- None
 

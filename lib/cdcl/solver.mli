@@ -96,6 +96,9 @@ val unsat_core : t -> Cnf.Lit.t list option
     {!solve_with_assumptions} that returned [Unsat]; [None] otherwise. *)
 
 val config : t -> Config.t
+(** The configuration in effect: after a {!on_first_reduce} hook has
+    run, its policy is the one the hook returned. *)
+
 val stats : t -> Solver_stats.t
 (** Live counters (mutated by the solver); copy before storing. *)
 
@@ -138,6 +141,18 @@ val tier_counts : t -> int * int * int
 
 val check_model : Cnf.Formula.t -> bool array -> bool
 (** [check_model f model] verifies a {!Sat} witness independently. *)
+
+val on_first_reduce : t -> (unit -> Policy.t) -> unit
+(** [on_first_reduce t hook] defers the choice of deletion policy:
+    [hook] runs once, just before the solver's next reduce pass (its
+    first, on a fresh solver), and the policy it returns replaces the
+    configured one for that pass and every later one. The solver reads
+    the policy only when it ranks clauses at a reduce, and the
+    propagation counters run under every policy, so a solve whose hook
+    returns [p] searches exactly as one configured with [p]. A solve
+    that ends before its first reduce never calls [hook]. Its time
+    counts against [max_wall_seconds] like the search's own. Installing
+    a hook replaces a pending one. *)
 
 (** {1 Proof tracing}
 

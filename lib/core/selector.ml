@@ -23,17 +23,20 @@ type selection = {
   inference_seconds : float;
   degraded : degradation option;
   cached : bool;
+  fingerprint : string option;
 }
 
 (* --- bounded LRU decision cache, keyed by canonical fingerprint --- *)
 
-(* One process-wide cache (the serve select loop and the evaluate
-   campaign driver are single-threaded). Entries store the model
-   probability, so any [alpha] can be applied on a hit. The cache is
-   stamped with the (model uid, checkpoint generation) it was filled
-   from: a different model — or the same model after a checkpoint
-   reload, which bumps the generation — empties it before use, so a
-   hot-swap can never serve stale decisions. *)
+(* One process-wide cache (ns-evaluate's campaign is single-threaded;
+   an ns-serve worker reads the copy it inherited at fork, and the
+   server fills its own from the workers' results through [adopt]).
+   Entries store the model probability, so any [alpha] can be applied
+   on a hit. The cache is stamped with the (model uid, checkpoint
+   generation) it was filled from: a different model — or the same
+   model after a checkpoint reload, which bumps the generation —
+   empties it before use, so a hot-swap can never serve stale
+   decisions. *)
 module Cache = struct
   type node = {
     key : string;
@@ -97,18 +100,25 @@ module Cache = struct
       t.stamp <- Some stamp
     end
 
+  let count t ~hit =
+    if hit then begin
+      t.hits <- t.hits + 1;
+      Obs.Metrics.incr m_cache_hits
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      Obs.Metrics.incr m_cache_misses
+    end
+
   let find t key =
-    match Hashtbl.find_opt t.tbl key with
-    | None ->
-        t.misses <- t.misses + 1;
-        Obs.Metrics.incr m_cache_misses;
-        None
-    | Some n ->
+    let found = Hashtbl.find_opt t.tbl key in
+    count t ~hit:(found <> None);
+    Option.map
+      (fun n ->
         unlink t n;
         push_front t n;
-        t.hits <- t.hits + 1;
-        Obs.Metrics.incr m_cache_hits;
-        Some n.prob
+        n.prob)
+      found
 
   let add t key prob =
     if t.capacity > 0 then begin
@@ -176,7 +186,7 @@ let policy_of_probability ~alpha probability =
   end
   else Cdcl.Policy.Default
 
-let degraded_selection ~inference_seconds d =
+let degraded_selection ~inference_seconds ~fingerprint d =
   Obs.Metrics.incr m_fallbacks;
   {
     policy = Cdcl.Policy.Default;
@@ -185,35 +195,32 @@ let degraded_selection ~inference_seconds d =
     inference_seconds;
     degraded = Some d;
     cached = false;
+    fingerprint;
   }
-
-type cache_probe = No_cache | Hit of float * float | Miss of string
 
 let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
     model formula =
   Obs.Metrics.incr m_selections;
-  let probe =
-    if not use_cache then No_cache
+  let t0 = Runtime.Clock.now () in
+  let fingerprint, hit =
+    if not use_cache then (None, None)
     else begin
       Cache.ensure_stamp cache model;
-      let t0 = Runtime.Clock.now () in
       let key = Cnf.Fingerprint.compute_hex formula in
-      match Cache.find cache key with
-      | Some probability -> Hit (probability, Runtime.Clock.elapsed_since t0)
-      | None -> Miss key
+      (Some key, Cache.find cache key)
     end
   in
-  match probe with
-  | Hit (probability, seconds) ->
+  match hit with
+  | Some probability ->
       {
         policy = policy_of_probability ~alpha probability;
         probability;
-        inference_seconds = seconds;
+        inference_seconds = Runtime.Clock.elapsed_since t0;
         degraded = None;
         cached = true;
+        fingerprint;
       }
-  | No_cache | Miss _ -> (
-      let t0 = Runtime.Clock.now () in
+  | None -> (
       let outcome =
         (* Any failure of the learned component — a model that did not
            load, an overflow in the forward pass, an injected fault —
@@ -237,21 +244,29 @@ let select_policy ?(alpha = Cdcl.Policy.default_alpha) ?(use_cache = false)
       Obs.Metrics.observe h_inference inference_seconds;
       match outcome with
       | Ok probability ->
-          (match probe with
-          | Miss key -> Cache.add cache key probability
-          | No_cache | Hit _ -> ());
+          Option.iter (fun key -> Cache.add cache key probability) fingerprint;
           {
             policy = policy_of_probability ~alpha probability;
             probability;
             inference_seconds;
             degraded = None;
             cached = false;
+            fingerprint;
           }
-      | Error d -> degraded_selection ~inference_seconds d)
+      | Error d -> degraded_selection ~inference_seconds ~fingerprint d)
+
+let adopt model ~fingerprint ~cached probability =
+  Cache.ensure_stamp cache model;
+  Cache.count cache ~hit:cached;
+  Option.iter (Cache.add cache fingerprint) probability
 
 let solve_adaptive ?(config = Cdcl.Config.default) ?alpha ?use_cache model
     formula =
-  let selection = select_policy ?alpha ?use_cache model formula in
-  let config = Cdcl.Config.with_policy selection.policy config in
-  let result, stats = Cdcl.Solver.solve_formula ~config formula in
-  (selection, result, stats)
+  let solver = Cdcl.Solver.create ~config formula in
+  let selection = ref None in
+  Cdcl.Solver.on_first_reduce solver (fun () ->
+      let s = select_policy ?alpha ?use_cache model formula in
+      selection := Some s;
+      s.policy);
+  let result = Cdcl.Solver.solve solver in
+  (!selection, result, Cdcl.Solver_stats.copy (Cdcl.Solver.stats solver))

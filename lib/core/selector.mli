@@ -1,9 +1,13 @@
 (** Adaptive policy selection — NeuroSelect-Kissat (Sec. 5.4).
 
-    One model inference on the CPU before solving picks the deletion
-    policy; the measured inference wall-clock (monotonized
-    [gettimeofday], matching the paper's wall-clock accounting — not
-    CPU time) is part of the adaptive solver's reported runtime.
+    [select_policy] is the paper's step: one model inference on the
+    CPU before solving picks the deletion policy, and the measured
+    inference wall-clock (monotonized [gettimeofday], matching the
+    paper's wall-clock accounting — not CPU time) is part of the
+    adaptive solver's reported runtime. [solve_adaptive] defers that
+    same selection to the solver's first reduce, the first point where
+    the policy can act, so a solve that never reduces runs no
+    inference.
 
     Inference is fallible in production: the checkpoint may be
     corrupt, the forward pass may overflow. [select_policy] never lets
@@ -29,13 +33,19 @@ type selection = {
   policy : Cdcl.Policy.t;
   probability : float;
       (** Model output; > 0.5 selects frequency. NaN when degraded. *)
-  inference_seconds : float;  (** Wall-clock, includes failed attempts. *)
+  inference_seconds : float;
+      (** Wall-clock of the whole selection: the fingerprint and cache
+          lookup when the cache is consulted, and the forward on a miss,
+          failed attempts included. *)
   degraded : degradation option;
       (** [Some _] when the model was unusable and the default policy
           was substituted. *)
   cached : bool;
       (** Served from the fingerprint-keyed decision cache; no
           inference ran. *)
+  fingerprint : string option;
+      (** The formula's {!Cnf.Fingerprint.compute_hex} when the cache
+          was consulted. *)
 }
 
 val select_policy :
@@ -75,12 +85,26 @@ val set_cache_capacity : int -> unit
 val clear_cache : unit -> unit
 (** Drop all entries (counted as evictions). *)
 
+val adopt : Model.t -> fingerprint:string -> cached:bool -> float option -> unit
+(** Account in this process's decision cache for a cached selection
+    made elsewhere, by a forked worker reading the copy it inherited:
+    count the hit ([cached]) or the miss, and store the probability,
+    when the selection produced a usable one, under [fingerprint] as
+    the most recently used entry. *)
+
 val solve_adaptive :
   ?config:Cdcl.Config.t ->
   ?alpha:float ->
   ?use_cache:bool ->
   Model.t ->
   Cnf.Formula.t ->
-  selection * Cdcl.Solver.result * Cdcl.Solver_stats.t
-(** Select, then solve under the chosen policy (overriding the policy
-    in [config] but keeping its budgets and other settings). *)
+  selection option * Cdcl.Solver.result * Cdcl.Solver_stats.t
+(** Solve under [config]'s budgets and other settings, selecting the
+    deletion policy at the solver's first reduce
+    ({!Cdcl.Solver.on_first_reduce}) with [select_policy]: the cache
+    lookup ([use_cache]), the forward on a miss and the fallback to the
+    default policy all happen there. The search is the one
+    [select_policy] followed by a solve under the chosen policy would
+    run; [config]'s own policy is never used. The selection is [None]
+    when the solve ended before its first reduce, so that no inference
+    (and no fingerprint) ran. *)

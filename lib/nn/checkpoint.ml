@@ -104,8 +104,40 @@ let apply ~source table params =
 
 (* --- record --- *)
 
+(* The payload opens with the line "epochs <n>": the record's seq
+   again, inside the CRC, so a flipped seq digit cannot load the
+   weights under another epoch count. *)
 let encode ~epochs params =
-  Runtime.Record.encode ~magic ~seq:epochs (to_string params)
+  Runtime.Record.encode ~magic ~seq:epochs
+    (Printf.sprintf "epochs %d\n%s" epochs (to_string params))
+
+(* The parameter text after a leading "epochs <n>" line that matches
+   [seq]. A payload without that line, as the first NSCKPT3 writer left
+   it, trusts the seq. A parameter header has three fields, so it never
+   reads as the epochs line. *)
+let strip_epochs ~source seq payload =
+  let line, rest =
+    match String.index_opt payload '\n' with
+    | Some nl ->
+      ( String.sub payload 0 nl,
+        String.sub payload (nl + 1) (String.length payload - nl - 1) )
+    | None -> (payload, "")
+  in
+  match String.split_on_char ' ' line with
+  | [ "epochs"; n ]
+    when n <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) n
+    ->
+    if int_of_string_opt n = Some seq then Ok rest
+    else
+      Error
+        (Error.Corrupt
+           {
+             path = source;
+             detail =
+               Printf.sprintf "epoch count %s in the payload, %d in the header"
+                 n seq;
+           })
+  | _ -> Ok payload
 
 (* Read-only: an [NSCKPT 2 <crc32-hex> <payload-bytes>] file, the
    format before the record, loads as 0 epochs. *)
@@ -131,7 +163,9 @@ let decode ~source text =
   else
     match Runtime.Record.decode ~magic text with
     | Ok (epochs, payload, next) when next = String.length text ->
-      Ok (epochs, payload)
+      Result.map
+        (fun params -> (epochs, params))
+        (strip_epochs ~source epochs payload)
     | Ok _ -> corrupt "trailing bytes after the checkpoint record"
     | Error e -> corrupt (Runtime.Record.error_to_string e)
 

@@ -11,7 +11,10 @@
     checkpoint written outside training) and whose CRC-32 is verified
     before any parameter is mutated, so bit flips and truncation
     surface as typed errors rather than silently corrupted weights.
-    The epoch count sits outside the CRC, like every record's seq.
+    A record's seq sits outside its CRC, so the payload opens with the
+    line [epochs <n>], the same count inside the CRC; a file whose two
+    counts differ is [Corrupt]. An [NSCKPT3] payload without that line
+    (the first writer of this format) still loads, under its seq.
     Writes are atomic (temp file + rename) and promote the previous
     intact checkpoint to a [.bak] sibling; [load_result] falls back to
     the [.bak] automatically when the primary is damaged.

@@ -12,36 +12,65 @@ let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
 
 (* --- worker-side solve ------------------------------------------------- *)
 
+(* The reply fields of a solve run with a selector: the selection made
+   at the first reduce, or "cache":"none" when the solve ended before
+   one. The "fingerprint" and "degraded" fields are for the parent,
+   which fills its decision cache from them and moves "degraded" into
+   the reply header. *)
+let selection_fields = function
+  | None -> [ ("cache", J.String "none") ]
+  | Some (s : Core.Selector.selection) ->
+    List.concat
+      [
+        [
+          ("policy", J.String (Cdcl.Policy.name s.policy));
+          ("cache", J.String (if s.cached then "hit" else "miss"));
+          ("selection_ms", J.Float (1000.0 *. s.inference_seconds));
+        ];
+        (if Float.is_finite s.probability then
+           [ ("probability", J.Float s.probability) ]
+         else []);
+        [ ("degraded", J.Bool (s.degraded <> None)) ];
+        (match s.fingerprint with
+        | Some key -> [ ("fingerprint", J.String key) ]
+        | None -> []);
+      ]
+
 (* Runs inside the forked supervisor worker: parse, solve under the
-   request's wall budget, and return a JSON payload the parent
-   merges into the response. *)
-let worker_solve ~deadline_s ~policy dimacs () =
+   request's wall budget (with a selector, selecting the policy at the
+   first reduce through the decision cache this worker inherited), and
+   return a JSON payload the parent merges into the response. *)
+let worker_solve ~deadline_s ~selector dimacs () =
   match Runtime.Error.protect ~context:"serve.worker" (fun () ->
       let f = Cnf.Dimacs.parse_string dimacs in
       let config =
         Cdcl.Config.with_budget ~max_wall_seconds:deadline_s
           Cdcl.Config.default
       in
-      (* The parent's policy selection rides in as the serialized
-         policy name; an unparseable name falls back to the default. *)
-      let config =
-        match Option.bind policy Cdcl.Policy.of_string with
-        | Some p -> Cdcl.Config.with_policy p config
-        | None -> config
+      let selection, result, stats =
+        match selector with
+        | None ->
+          let result, stats = Cdcl.Solver.solve_formula ~config f in
+          ([], result, stats)
+        | Some model ->
+          let s, result, stats =
+            Core.Selector.solve_adaptive ~config ~use_cache:true model f
+          in
+          (selection_fields s, result, stats)
       in
-      let result, stats = Cdcl.Solver.solve_formula ~config f in
       J.encode
-        [
-          ("verdict", J.String (Store.verdict_name result));
-          ( "model",
-            match result with
-            | Cdcl.Solver.Sat m -> J.String (Store.model_to_string m)
-            | _ -> J.Null );
-          ("conflicts", J.Int stats.Cdcl.Solver_stats.conflicts);
-          ("decisions", J.Int stats.Cdcl.Solver_stats.decisions);
-          ("propagations", J.Int stats.Cdcl.Solver_stats.propagations);
-          ("learned", J.Int stats.Cdcl.Solver_stats.learned_total);
-        ])
+        ([
+           ("verdict", J.String (Store.verdict_name result));
+           ( "model",
+             match result with
+             | Cdcl.Solver.Sat m -> J.String (Store.model_to_string m)
+             | _ -> J.Null );
+           ("conflicts", J.Int stats.Cdcl.Solver_stats.conflicts);
+           ("decisions", J.Int stats.Cdcl.Solver_stats.decisions);
+           ("propagations", J.Int stats.Cdcl.Solver_stats.propagations);
+           ("learned", J.Int stats.Cdcl.Solver_stats.learned_total);
+         ]
+        @ selection))
   with
   | Ok payload -> Ok payload
   | Error e -> Error (Runtime.Error.to_string e)
@@ -64,10 +93,6 @@ type pending_req = {
   pr_reply : J.record -> unit;
   pr_user_id : string;
   pr_submitted : float;
-  pr_extra : J.record;
-      (* Parent-side selection fields (policy, cache, probability)
-         merged into the solve response. *)
-  pr_degraded : bool; (* the selection fell back to the default policy *)
 }
 
 (* A client reads frames from [input] and is answered on [output]: one
@@ -130,8 +155,8 @@ let base_response ?(degraded = false) ~id ~status rest =
   :: ("degraded", J.Bool degraded)
   :: rest
 
-let error_response ?degraded ~id msg =
-  base_response ?degraded ~id ~status:"error" [ ("error", J.String msg) ]
+let error_response ~id msg =
+  base_response ~id ~status:"error" [ ("error", J.String msg) ]
 
 (* A string request field, "" when absent. *)
 let field fields name = Option.value (J.find_string fields name) ~default:""
@@ -146,6 +171,20 @@ let numeric fields name ~default ~rule accept =
     match accept v with
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "%s must be %s" name rule))
+
+(* A worker's selection, counted as a lookup of the server's decision
+   cache and stored there when the model decided: the worker read only
+   its own copy. The payload's "degraded" and "fingerprint" fields are
+   taken out; "degraded" goes into the reply header. *)
+let adopt_selection t body =
+  (match (t.config.selector, J.find_string body "fingerprint") with
+  | Some model, Some fingerprint ->
+    Core.Selector.adopt model ~fingerprint
+      ~cached:(J.find_string body "cache" = Some "hit")
+      (J.find_float body "probability")
+  | _ -> ());
+  ( J.find_bool body "degraded" = Some true,
+    List.filter (fun (k, _) -> k <> "degraded" && k <> "fingerprint") body )
 
 (* Completion of a pool-backed solve: merge the worker payload (or the
    failure) into the response, journal it, and clean up. *)
@@ -162,23 +201,23 @@ let on_pool_complete t (c : Runtime.Pool.completion) =
         ("latency_ms", J.Float (1000.0 *. latency));
       ]
     in
-    let degraded = pr.pr_degraded and id = pr.pr_user_id in
+    let id = pr.pr_user_id in
     let record =
       match c.Runtime.Pool.outcome with
       | Runtime.Pool.Done payload ->
         Obs.Metrics.incr m_completed;
-        let body =
+        let degraded, body =
           match J.parse_line payload with
-          | Some fields -> fields
-          | None -> [ ("verdict", J.String "unknown") ]
+          | Some fields -> adopt_selection t fields
+          | None -> (false, [ ("verdict", J.String "unknown") ])
         in
-        base_response ~degraded ~id ~status:"ok" (body @ pr.pr_extra @ tail)
+        base_response ~degraded ~id ~status:"ok" (body @ tail)
       | Runtime.Pool.Failed msg ->
         Obs.Metrics.incr m_failed;
-        error_response ~degraded ~id msg @ tail
+        error_response ~id msg @ tail
       | Runtime.Pool.Shed ->
         (* 429-style: admission control refused the request. *)
-        base_response ~degraded ~id ~status:"shed" tail
+        base_response ~id ~status:"shed" tail
     in
     pr.pr_reply record;
     journal_append t record
@@ -288,47 +327,10 @@ let handle_solve t ~id reply fields =
   | _, Error msg, _ | _, _, Error msg ->
     reply (error_response ~id ("solve: " ^ msg))
   | Some dimacs, Ok deadline_s, Ok mem_mb ->
-    (* With a selector: select the deletion policy in the parent,
-       through the fingerprint-keyed decision cache, and ship the
-       chosen policy's name to the worker. A repeated instance costs a
-       cache lookup instead of a model forward. *)
-    let policy, extra, degraded =
-      match t.config.selector with
-      | None -> (None, [], false)
-      | Some model -> (
-        match Cnf.Dimacs.parse_string dimacs with
-        | exception _ -> (None, [], false)
-        | formula ->
-          let t0 = Unix.gettimeofday () in
-          let s = Core.Selector.select_policy ~use_cache:true model formula in
-          let selection_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-          let extra =
-            [
-              ("policy", J.String (Cdcl.Policy.name s.Core.Selector.policy));
-              ( "cache",
-                J.String (if s.Core.Selector.cached then "hit" else "miss") );
-              ("selection_ms", J.Float selection_ms);
-            ]
-          in
-          let extra =
-            if Float.is_finite s.Core.Selector.probability then
-              extra @ [ ("probability", J.Float s.Core.Selector.probability) ]
-            else extra
-          in
-          ( Some (Cdcl.Policy.name s.Core.Selector.policy),
-            extra,
-            s.Core.Selector.degraded <> None ))
-    in
     let pool_id = Printf.sprintf "r%d" t.next_req in
     t.next_req <- t.next_req + 1;
     Hashtbl.replace t.pending pool_id
-      {
-        pr_reply = reply;
-        pr_user_id = id;
-        pr_submitted = Unix.gettimeofday ();
-        pr_extra = extra;
-        pr_degraded = degraded;
-      };
+      { pr_reply = reply; pr_user_id = id; pr_submitted = Unix.gettimeofday () };
     let limits =
       {
         Runtime.Supervisor.default_limits with
@@ -343,7 +345,7 @@ let handle_solve t ~id reply fields =
     ignore
       (Runtime.Pool.submit t.pool ~limits ~id:pool_id (fun () ->
            close_inherited t;
-           worker_solve ~deadline_s ~policy dimacs ()))
+           worker_solve ~deadline_s ~selector:t.config.selector dimacs ()))
 
 (* Session input follows the DIMACS clause rule: a clause is decimal
    integers ending in a single 0 (so "0" is the empty clause), and
@@ -450,9 +452,9 @@ let handle_session t ~id reply fields =
       in
       ok rest)
 
-let reject ?degraded t ~id reply =
+let reject t ~id reply =
   Obs.Metrics.incr m_rejected;
-  let record = base_response ?degraded ~id ~status:"rejected" [] in
+  let record = base_response ~id ~status:"rejected" [] in
   reply record;
   journal_append t record
 
@@ -502,7 +504,7 @@ let drain t =
       | None -> ()
       | Some pr ->
         Hashtbl.remove t.pending pool_id;
-        reject ~degraded:pr.pr_degraded t ~id:pr.pr_user_id pr.pr_reply)
+        reject t ~id:pr.pr_user_id pr.pr_reply)
     not_run;
   Store.close t.store;
   journal_append t

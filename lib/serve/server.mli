@@ -43,10 +43,14 @@
     a solve whose policy selection fell back to the default (the model
     failed on that request) and false on every other response. Solves
     add the verdict, model, solver statistics, attempt count and
-    latency, and with a [selector] the chosen "policy", "cache"
-    ("hit" | "miss"), "selection_ms" and, when the model decided,
-    "probability". A session request whose "key" already executed
-    returns the cached reply with "replayed":true. *)
+    latency. With a [selector], the worker selects the policy at the
+    solver's first reduce, and the reply adds "cache": "hit" or "miss"
+    when a selection ran, with the chosen "policy", its "selection_ms"
+    (fingerprint, lookup and any forward, timed in the worker) and,
+    when the model decided, "probability"; "none" when the solve ended
+    before its first reduce, with none of those three and "degraded"
+    false. A session request whose "key" already executed returns the
+    cached reply with "replayed":true. *)
 
 type config = {
   jobs : int;  (** Concurrent solver workers. *)
@@ -56,8 +60,13 @@ type config = {
   mem_mb : int option;  (** Default per-worker RLIMIT_AS cap. *)
   journal : string option;  (** One JSONL record per finished request. *)
   selector : Core.Model.t option;
-      (** Select each solve's deletion policy in the parent, through
-          the fingerprint-keyed decision cache. *)
+      (** Select each solve's deletion policy in its worker, at the
+          solver's first reduce ({!Core.Selector.solve_adaptive}),
+          through the decision cache the worker inherited at fork. The
+          server never parses a request or runs a forward itself; it
+          counts each worker's lookup and stores its decision in its
+          own cache ({!Core.Selector.adopt}), which the next fork
+          inherits. *)
   store : Session_store.config;
   verbose : bool;  (** Log to stderr. *)
 }

@@ -470,6 +470,58 @@ let prop_solver_mixed_clause_lengths =
       | Cdcl.Solver.Unsat, _ -> not expected
       | Cdcl.Solver.Unknown, _ -> false)
 
+(* A policy fixed by the first-reduce hook searches exactly as one
+   configured up front. Of the 12 pinned instances, 8 reach a reduce
+   under the 800k-propagation budget and 4 end before one; the hook
+   must run once on each of the first and never on the second. *)
+let test_policy_hook_same_search () =
+  let instances = Gen.Dataset.generate_year ~seed:7 ~per_year:12 2022 in
+  let budget =
+    Cdcl.Config.with_budget ~max_propagations:800_000 Cdcl.Config.default
+  in
+  let reduced = ref 0 in
+  List.iter
+    (fun (i : Gen.Dataset.instance) ->
+      List.iter
+        (fun policy ->
+          let what =
+            Printf.sprintf "%s under %s" i.Gen.Dataset.name
+              (Cdcl.Policy.name policy)
+          in
+          let upfront_result, upfront =
+            Cdcl.Solver.solve_formula
+              ~config:(Cdcl.Config.with_policy policy budget)
+              i.Gen.Dataset.formula
+          in
+          (* The configured policy is the other one: only the hook's
+             answer may act. *)
+          let other =
+            if policy = Cdcl.Policy.Default then Cdcl.Policy.frequency_default
+            else Cdcl.Policy.Default
+          in
+          let s =
+            Cdcl.Solver.create
+              ~config:(Cdcl.Config.with_policy other budget)
+              i.Gen.Dataset.formula
+          in
+          let calls = ref 0 in
+          Cdcl.Solver.on_first_reduce s (fun () ->
+              incr calls;
+              policy);
+          let deferred_result = Cdcl.Solver.solve s in
+          let deferred = Cdcl.Solver_stats.copy (Cdcl.Solver.stats s) in
+          checkb (what ^ ": same verdict") true (deferred_result = upfront_result);
+          checkb (what ^ ": same stats") true (deferred = upfront);
+          checki
+            (what ^ ": hook runs once exactly when the solve reduces")
+            (if upfront.Cdcl.Solver_stats.reduces > 0 then 1 else 0)
+            !calls;
+          if policy = Cdcl.Policy.Default && !calls > 0 then incr reduced)
+        [ Cdcl.Policy.Default; Cdcl.Policy.frequency_default ])
+    instances;
+  checki "instances that reduce" 8 !reduced;
+  checki "instances" 12 (List.length instances)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -497,6 +549,7 @@ let suite =
     Alcotest.test_case "policy random deterministic" `Quick test_policy_random_deterministic;
     Alcotest.test_case "policy names roundtrip" `Quick test_policy_names_roundtrip;
     Alcotest.test_case "policy needs_frequency" `Quick test_policy_needs_frequency;
+    Alcotest.test_case "policy hook same search" `Quick test_policy_hook_same_search;
     Alcotest.test_case "solver trivial" `Quick test_solver_trivial;
     Alcotest.test_case "solver unit propagation" `Quick test_solver_unit_propagation_only;
     Alcotest.test_case "solver dup/tautology" `Quick test_solver_duplicate_and_tautology;

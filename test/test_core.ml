@@ -271,12 +271,28 @@ let test_selector_policy_matches_probability () =
   | _ -> Alcotest.fail "selector must pick default or frequency");
   checkb "inference time nonnegative" true (s.Core.Selector.inference_seconds >= 0.0)
 
+(* The selection runs at the first reduce: PHP(6,5) reaches one (152
+   conflicts), PHP(4,3) ends at 7 conflicts without one and so selects
+   nothing. *)
 let test_selector_solve_adaptive () =
   let model = Core.Model.create Core.Model.small_config in
-  let f = Gen.Pigeonhole.unsat 4 in
-  let _, result, stats = Core.Selector.solve_adaptive model f in
+  let selection, result, stats =
+    Core.Selector.solve_adaptive model (Gen.Pigeonhole.unsat 5)
+  in
   checkb "solves correctly" true (result = Cdcl.Solver.Unsat);
-  checkb "stats populated" true (stats.Cdcl.Solver_stats.conflicts > 0)
+  checkb "reaches a reduce" true (stats.Cdcl.Solver_stats.reduces > 0);
+  (match selection with
+  | Some s ->
+    checkb "selected by the model" true
+      (s.Core.Selector.degraded = None
+      && Float.is_finite s.Core.Selector.probability)
+  | None -> Alcotest.fail "a solve that reduces must select");
+  let selection, result, stats =
+    Core.Selector.solve_adaptive model (Gen.Pigeonhole.unsat 3)
+  in
+  checkb "small instance solves" true (result = Cdcl.Solver.Unsat);
+  checki "small instance never reduces" 0 stats.Cdcl.Solver_stats.reduces;
+  checkb "no selection before the first reduce" true (selection = None)
 
 let test_selector_custom_alpha () =
   let model = Core.Model.create Core.Model.small_config in
@@ -344,10 +360,16 @@ let test_selector_degrades_on_injected_failure () =
       | _ -> Alcotest.fail "injected failure not recorded");
       checkb "falls back to the default policy" true
         (s.Core.Selector.policy = Cdcl.Policy.Default);
-      (* solve_adaptive still solves under degradation. *)
+      (* solve_adaptive still solves under degradation: PHP(6,5)
+         reaches a reduce, where the selection fails. *)
       Runtime.Fault.arm ~seed:3 ~limit:1 [ Runtime.Fault.Inference_failure ];
-      let sel, result, _ = Core.Selector.solve_adaptive model (Gen.Pigeonhole.unsat 3) in
-      checkb "degradation surfaced to caller" true (sel.Core.Selector.degraded <> None);
+      let sel, result, _ = Core.Selector.solve_adaptive model (Gen.Pigeonhole.unsat 5) in
+      checkb "degradation surfaced to caller" true
+        (match sel with
+        | Some s ->
+          s.Core.Selector.degraded <> None
+          && s.Core.Selector.policy = Cdcl.Policy.Default
+        | None -> false);
       checkb "still solves" true (result = Cdcl.Solver.Unsat))
 
 (* --- Trainer --- *)

@@ -282,24 +282,30 @@ let test_checkpoint_duplicate_param () =
 
 (* fixtures/v2.ckpt was written by the NSCKPT 2 writer, before
    checkpoints became records: it still loads, as 0 epochs, to the
-   values it was saved with. A headerless payload (the format before
-   that) has no CRC and is refused. *)
+   values it was saved with. fixtures/v3-no-epochs.ckpt was written by
+   the first NSCKPT3 writer, whose payload has no "epochs" line: it
+   loads under its seq, 4. A headerless payload (the format before
+   NSCKPT 2) has no CRC and is refused. *)
 let test_checkpoint_compat_fixtures () =
-  let w = Nn.Param.create "layer.weight" (Mat.zeros 2 3) in
-  let b = Nn.Param.create "layer.bias" (Mat.zeros 1 3) in
-  (match Nn.Checkpoint.load_result "fixtures/v2.ckpt" [ w; b ] with
-  | Ok (Nn.Checkpoint.Primary, epochs) -> checki "v2 loads as 0 epochs" 0 epochs
-  | Ok (Nn.Checkpoint.Backup, _) -> Alcotest.fail "v2 fixture read as damaged"
-  | Error e -> Alcotest.failf "v2 fixture: %s" (Runtime.Error.to_string e));
   let values m =
     Array.init (Mat.rows m * Mat.cols m) (fun k ->
         Mat.get m (k / Mat.cols m) (k mod Mat.cols m))
   in
-  checkb "v2 weight values" true
-    (values w.Nn.Param.value
-    = [| 0.1; -2.5; 1e-3; 3.141592653589793; 0.0; 1e10 |]);
-  checkb "v2 bias values" true
-    (values b.Nn.Param.value = [| -0.75; 2.0; 1e-300 |]);
+  List.iter
+    (fun (file, expected_epochs) ->
+      let w = Nn.Param.create "layer.weight" (Mat.zeros 2 3) in
+      let b = Nn.Param.create "layer.bias" (Mat.zeros 1 3) in
+      (match Nn.Checkpoint.load_result ("fixtures/" ^ file) [ w; b ] with
+      | Ok (Nn.Checkpoint.Primary, epochs) ->
+        checki (file ^ " epoch count") expected_epochs epochs
+      | Ok (Nn.Checkpoint.Backup, _) -> Alcotest.failf "%s read as damaged" file
+      | Error e -> Alcotest.failf "%s: %s" file (Runtime.Error.to_string e));
+      checkb (file ^ " weight values") true
+        (values w.Nn.Param.value
+        = [| 0.1; -2.5; 1e-3; 3.141592653589793; 0.0; 1e10 |]);
+      checkb (file ^ " bias values") true
+        (values b.Nn.Param.value = [| -0.75; 2.0; 1e-300 |]))
+    [ ("v2.ckpt", 0); ("v3-no-epochs.ckpt", 4) ];
   let q = Nn.Param.create "w" (Mat.zeros 1 2) in
   expect_corrupt "headerless payload"
     (Nn.Checkpoint.of_string_result "w 1 2\n0.5 1.5 \n" [ q ]);
@@ -373,6 +379,33 @@ let test_checkpoint_corruption_detected () =
       expect_corrupt "truncated checkpoint"
         (Nn.Checkpoint.load_result path [ q ]);
       checkb "params untouched" true (Mat.approx_equal (Mat.zeros 2 2) q.Nn.Param.value))
+
+(* The epoch count is inside the CRC: no single flipped bit anywhere in
+   a saved checkpoint loads, under its own count or any other. A flip
+   in the header's seq digits is caught by the payload's "epochs" line,
+   which the record's CRC covers. *)
+let test_checkpoint_every_bit_flip_rejected () =
+  let rng = Util.Rng.create 26 in
+  let p = Nn.Param.create "w" (Mat.random_uniform rng 2 2 1.0) in
+  let text = Nn.Checkpoint.encode ~epochs:3 [ p ] in
+  (match Nn.Checkpoint.of_string_result text [ Nn.Param.create "w" (Mat.zeros 2 2) ] with
+  | Ok epochs -> checki "intact copy loads with its count" 3 epochs
+  | Error e -> Alcotest.failf "intact copy: %s" (Runtime.Error.to_string e));
+  for byte = 0 to String.length text - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string text in
+      Bytes.set b byte (Char.chr (Char.code text.[byte] lxor (1 lsl bit)));
+      let q = Nn.Param.create "w" (Mat.zeros 2 2) in
+      match Nn.Checkpoint.of_string_result (Bytes.to_string b) [ q ] with
+      | Error (Runtime.Error.Corrupt _) -> ()
+      | Ok epochs ->
+        Alcotest.failf "bit %d of byte %d flipped: loaded as %d epochs" bit
+          byte epochs
+      | Error e ->
+        Alcotest.failf "bit %d of byte %d flipped: wrong error: %s" bit byte
+          (Runtime.Error.to_string e)
+    done
+  done
 
 let test_checkpoint_file_io () =
   let rng = Util.Rng.create 22 in
@@ -463,6 +496,8 @@ let suite =
       test_checkpoint_backup_fallback;
     Alcotest.test_case "checkpoint corruption detected" `Quick
       test_checkpoint_corruption_detected;
+    Alcotest.test_case "checkpoint every bit flip rejected" `Quick
+      test_checkpoint_every_bit_flip_rejected;
     Alcotest.test_case "checkpoint file io" `Quick test_checkpoint_file_io;
     Alcotest.test_case "train learns toy problem" `Quick test_train_learns_toy_problem;
     Alcotest.test_case "train empty dataset" `Quick test_train_empty_dataset;

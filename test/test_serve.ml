@@ -617,22 +617,84 @@ let test_server_drain_rejects () =
                && J.find_string r "status" = Some "rejected")
              records))
 
+(* PHP(6,5) reaches its first reduce at 100 conflicts (152 in all), and
+   so does any clause-shuffled copy of it: a solve that selects. *)
+let php65 = Gen.Pigeonhole.unsat 5
+let php65_dimacs = Cnf.Dimacs.to_string php65
+
+(* The selection runs in the worker, at the first reduce, through the
+   cache the worker inherited; the server counts the lookup and stores
+   the decision. A solve that never reduces selects nothing. *)
 let test_server_selector_cache () =
   Core.Selector.clear_cache ();
   let selector = Some (Core.Model.create Core.Model.paper_config) in
   let srv = create_server { server_config with Server.selector } in
   let solve dimacs = request_pumped srv [ op "solve"; ("dimacs", J.String dimacs) ] in
-  let cold = solve "p cnf 4 5\n1 -2 0\n2 3 0\n-1 -3 4 0\n-4 1 0\n2 -3 0\n" in
-  let warm = solve "p cnf 4 5\n2 -3 0\n-4 1 0\n2 3 0\n-1 -3 4 0\n1 -2 0\n" in
+  (* The cache counters are process-lifetime totals. *)
+  let counted () =
+    let m = request srv [ op "metrics" ] in
+    (J.find_int m "cache_hits", J.find_int m "cache_misses")
+  in
+  let since (h0, m0) =
+    match (counted (), h0, m0) with
+    | (Some h, Some m), Some h0, Some m0 -> (h - h0, m - m0)
+    | _ -> Alcotest.fail "metrics without cache counters"
+  in
+  let start = counted () in
+  let cold = solve php65_dimacs in
+  let shuffled =
+    Cnf.Dimacs.to_string (Cnf.Formula.shuffle (Util.Rng.create 5) php65)
+  in
+  checkb "the copy is shuffled" true (shuffled <> php65_dimacs);
+  let warm = solve shuffled in
   checks "first solve misses" "miss" (J.find_string cold "cache");
   checks "clause-shuffled copy hits" "hit" (J.find_string warm "cache");
   List.iter
     (fun r ->
       checks "solved" "ok" (status r);
+      checks "verdict" "unsat" (J.find_string r "verdict");
+      checkb "not degraded" true (J.find_bool r "degraded" = Some false);
       checkb "policy" true (J.find_string r "policy" <> None);
       checkb "selection_ms" true (J.find_float r "selection_ms" <> None);
-      checkb "probability" true (J.find_float r "probability" <> None))
-    [ cold; warm ]
+      checkb "probability" true (J.find_float r "probability" <> None);
+      checkb "no internal field" true (J.find_string r "fingerprint" = None))
+    [ cold; warm ];
+  checkb "same decision" true
+    (J.find_float cold "probability" = J.find_float warm "probability");
+  checkb "server counted one hit and one miss" true (since start = (1, 1));
+  checkb "server holds the decision" true
+    (J.find_int (request srv [ op "metrics" ]) "cache_size" = Some 1);
+  let small = solve "p cnf 4 5\n1 -2 0\n2 3 0\n-1 -3 4 0\n-4 1 0\n2 -3 0\n" in
+  checks "small instance solved" "ok" (status small);
+  checks "no selection before the first reduce" "none"
+    (J.find_string small "cache");
+  checkb "not degraded" true (J.find_bool small "degraded" = Some false);
+  List.iter
+    (fun field ->
+      checkb ("no " ^ field) true (not (List.mem_assoc field small)))
+    [ "policy"; "selection_ms"; "probability" ];
+  checkb "no lookup counted" true (since start = (1, 1));
+  Server.drain srv
+
+(* The parent never parses a request's DIMACS or runs a forward: a
+   20000-variable formula costs it only the reply. A parent that parsed
+   it and ran the HGT forward would allocate about 3.3 M major words. *)
+let test_server_parent_holds_no_formula () =
+  Core.Selector.clear_cache ();
+  let selector = Some (Core.Model.create Core.Model.paper_config) in
+  let srv = create_server { server_config with Server.selector } in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r =
+    request_pumped srv
+      [ op "solve"; ("dimacs", J.String "p cnf 20000 1\n1 0\n") ]
+  in
+  let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+  checks "solved" "ok" (status r);
+  checks "sat" "sat" (J.find_string r "verdict");
+  checkb
+    (Printf.sprintf "parent major heap grew by %.0f words (< 1 M)" grown)
+    true (grown < 1e6);
+  Server.drain srv
 
 let load_journal path =
   match J.load path with
@@ -752,29 +814,39 @@ let test_server_worker_crash_retried () =
               (fun j -> J.find_string j "id" = Some "crashy")
               (load_journal journal))))
 
-(* [degraded] belongs to the request. A formula without variables is a
-   per-request model failure: each such solve falls back and says so,
-   and none of them changes the next instance's decision or any other
-   reply. *)
+(* [degraded] belongs to the request. An injected model failure, armed
+   here and inherited by each forked worker, degrades each selection on
+   its own: every such solve falls back and says so, and none of them
+   changes the next instance's decision or any other reply. A formula
+   that ends before its first reduce selects nothing and is not
+   degraded. *)
 let test_server_degraded_per_request () =
   Core.Selector.clear_cache ();
   let selector = Some (Core.Model.create Core.Model.paper_config) in
   let srv = create_server { server_config with Server.selector } in
   let solve dimacs = request_pumped srv [ op "solve"; ("dimacs", J.String dimacs) ] in
   let degraded r = J.find_bool r "degraded" in
-  for i = 1 to 5 do
-    let r = solve "p cnf 0 0\n" in
-    checkb (Printf.sprintf "fallback %d degraded" i) true (degraded r = Some true);
-    checks "fallback policy" "default" (J.find_string r "policy");
-    checkb "fallback has no probability" true (J.find_float r "probability" = None)
-  done;
-  let fresh = solve "p cnf 3 2\n1 2 0\n-1 3 0\n" in
+  Fun.protect ~finally:Runtime.Fault.disarm (fun () ->
+      Runtime.Fault.arm ~seed:11 [ Runtime.Fault.Inference_failure ];
+      for i = 1 to 5 do
+        let r = solve php65_dimacs in
+        checks "fallback solved" "ok" (status r);
+        checkb (Printf.sprintf "fallback %d degraded" i) true (degraded r = Some true);
+        checks "fallback policy" "default" (J.find_string r "policy");
+        checks "fallback looked up the cache" "miss" (J.find_string r "cache");
+        checkb "fallback has no probability" true (J.find_float r "probability" = None)
+      done);
+  let fresh = solve (Cnf.Dimacs.to_string (Gen.Pigeonhole.unsat 6)) in
   checkb "fresh instance not degraded" true (degraded fresh = Some false);
   checkb "fresh instance gets a model decision" true
     (match J.find_float fresh "probability" with
     | Some p -> Float.is_finite p
     | None -> false);
-  checkb "ping not degraded" true (degraded (request srv [ op "ping" ]) = Some false)
+  let empty = solve "p cnf 0 0\n" in
+  checkb "empty formula not degraded" true (degraded empty = Some false);
+  checks "empty formula selects nothing" "none" (J.find_string empty "cache");
+  checkb "ping not degraded" true (degraded (request srv [ op "ping" ]) = Some false);
+  Server.drain srv
 
 (* --- the select loop over real sockets ----------------------------------- *)
 
@@ -1350,6 +1422,8 @@ let suite =
       test_server_degraded_per_request;
     Alcotest.test_case "server selector cache" `Quick
       test_server_selector_cache;
+    Alcotest.test_case "server parent holds no formula" `Quick
+      test_server_parent_holds_no_formula;
     Alcotest.test_case "server answers after eof" `Quick
       test_server_answers_after_eof;
     Alcotest.test_case "server survives peer that stops reading" `Quick
