@@ -187,11 +187,13 @@ let adaptive =
     & info [ "adaptive" ]
         ~doc:
           "Select the clause-deletion policy per solve request with the \
-           NeuroSelect model (parent-side, through the fingerprint-keyed \
-           decision cache — repeated instances skip inference). Solve \
-           responses gain policy, cache (\"hit\"/\"miss\"), selection_ms \
-           and probability fields; metrics responses report cache \
-           counters.")
+           NeuroSelect model. The solve worker selects at the solver's \
+           first reduce, through the fingerprint-keyed decision cache it \
+           inherited (repeated instances skip inference). Solve responses \
+           gain a cache field: \"hit\" or \"miss\" when a selection ran, \
+           with the chosen policy, selection_ms and, when the model \
+           decided, probability; \"none\" when the solve ended before its \
+           first reduce. Metrics responses report cache counters.")
 
 let checkpoint =
   Arg.(

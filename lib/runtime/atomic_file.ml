@@ -20,14 +20,18 @@ let fsync_dir dir =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let write ?(fsync = true) path content =
+(* The content goes out through a buffered channel, so a writer can
+   stream it in pieces without ever holding it whole. *)
+let write_with ?(fsync = true) path f =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   match
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let oc = Unix.out_channel_of_descr fd in
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        Fd.write_all fd content;
+        f oc;
+        flush oc;
         if fsync then Unix.fsync fd);
     Unix.rename tmp path;
     if fsync then fsync_dir (Filename.dirname path)
@@ -36,6 +40,9 @@ let write ?(fsync = true) path content =
   | exception e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     Error (Error.Io { path; op = "atomic-write"; message = Printexc.to_string e })
+
+let write ?fsync path content =
+  write_with ?fsync path (fun oc -> output_string oc content)
 
 (* A writer that died between creating [path].tmp.[pid] and the rename
    leaves the tmp file behind forever. Each sweep removes tmp files

@@ -13,9 +13,9 @@ let table =
 let update crc s =
   let t = Lazy.force table in
   let crc = ref (crc lxor 0xffffffff) in
-  String.iter
-    (fun ch -> crc := t.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    crc := t.((!crc lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!crc lsr 8)
+  done;
   !crc lxor 0xffffffff
 
 let string s = update 0 s

@@ -8,8 +8,10 @@ val string : string -> int
 (** Checksum of a whole string, in [0, 2^32). *)
 
 val update : int -> string -> int
-(** Incrementally extend a checksum ([update 0 s = string s] holds
-    only for the empty prefix; use [string] for one-shot use). *)
+(** [update (string a) b = string (a ^ b)]: a checksum extended piece
+    by piece equals the checksum of the pieces joined, so a payload
+    streamed out in pieces can be checksummed as it goes. [string s]
+    is [update 0 s]. *)
 
 val to_hex : int -> string
 (** Fixed-width lowercase 8-digit hex. *)

@@ -94,8 +94,12 @@ let next r =
 
 let malformed r = r.bad
 
+(* Readers run on the process's one thread, so one chunk serves every
+   read: a 64 KiB buffer is too large for the minor heap, and a fresh
+   one per read was most of a sessions op's major-heap allocation. *)
+let chunk = Bytes.create 65536
+
 let read_into r fd =
-  let chunk = Bytes.create 65536 in
   match Unix.read fd chunk 0 (Bytes.length chunk) with
   | 0 -> `Eof
   | n ->

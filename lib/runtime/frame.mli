@@ -35,6 +35,10 @@ val next : reader -> string option
 val malformed : reader -> bool
 
 val read_into : reader -> Unix.file_descr -> [ `Data | `Eof | `Blocked ]
-(** One [read] of up to 64 KiB fed into the reader. [`Blocked] covers
+(** One [read] of up to 64 KiB fed into the reader. The bytes land in
+    one 64 KiB chunk that every reader of the process shares, so a read
+    allocates nothing itself; the reader's buffer grows only to hold the
+    frames it has not yet returned. The chunk makes [read_into] unsafe
+    to call from two domains or threads at once. [`Blocked] covers
     EAGAIN/EWOULDBLOCK on non-blocking descriptors and EINTR (a signal
     before any bytes moved); any other error reports as [`Eof]. *)

@@ -6,12 +6,18 @@ let error_to_string = function
   | Bad_crc -> "CRC mismatch (bit flip or torn write)"
   | Malformed -> "malformed record header"
 
-let encode ~magic ~seq payload =
-  Printf.sprintf "%s %012x %08x %08x\n%s" magic seq (String.length payload)
-    (Crc32.string payload) payload
-
 (* The header after the magic: " <seq:12> <len:8> <crc:8>\n". *)
 let fields_len = 32
+
+let header ~magic ~seq ~len ~crc =
+  if seq < 0 || seq >= 1 lsl 48 || len < 0 || len > 0xffffffff || crc < 0
+     || crc > 0xffffffff
+  then invalid_arg "Record.header: field out of range";
+  Printf.sprintf "%s %012x %08x %08x\n" magic seq len crc
+
+let encode ~magic ~seq payload =
+  header ~magic ~seq ~len:(String.length payload) ~crc:(Crc32.string payload)
+  ^ payload
 
 let field_char i c =
   match i with

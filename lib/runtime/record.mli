@@ -16,8 +16,17 @@ type error =
 
 val error_to_string : error -> string
 
+val header : magic:string -> seq:int -> len:int -> crc:int -> string
+(** The header of a frame whose payload has [len] bytes and CRC-32
+    [crc]: always [String.length magic + 32] bytes, so a writer that
+    streams a payload can put a placeholder header first and write the
+    real one over it once the payload is out. Raises [Invalid_argument]
+    unless [seq] lies in [0, 2{^48}) and [len] and [crc] in
+    [0, 2{^32}). *)
+
 val encode : magic:string -> seq:int -> string -> string
-(** One frame. [seq] must lie in [0, 2{^48}). *)
+(** One frame: [header] of the payload's length and CRC-32, then the
+    payload. [seq] must lie in [0, 2{^48}). *)
 
 val decode :
   magic:string -> ?off:int -> string -> (int * string * int, error) result

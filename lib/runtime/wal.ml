@@ -350,15 +350,35 @@ let compact t =
   in
   t.segs <- go t.segs
 
-let snapshot t payload =
+(* The payload is never held whole: its pieces go straight into the
+   temp file behind a placeholder header of the same width, counted and
+   CRC-ed as they pass, and the real header is written over the
+   placeholder before the fsync and rename. *)
+let write_snapshot ~lsn path emit =
+  Atomic_file.write_with path (fun oc ->
+      let header ~len ~crc = Record.header ~magic:snap_magic ~seq:lsn ~len ~crc in
+      output_string oc (header ~len:0 ~crc:0);
+      let len = ref 0 and crc = ref 0 in
+      emit (fun piece ->
+          output_string oc piece;
+          len := !len + String.length piece;
+          crc := Crc32.update !crc piece);
+      seek_out oc 0;
+      output_string oc (header ~len:!len ~crc:!crc))
+
+let snapshot t emit =
   if t.closed then Error (io ~dir:t.dir ~op:"wal-snapshot" "log closed")
   else begin
     let lsn = t.next_lsn - 1 in
-    let content = Record.encode ~magic:snap_magic ~seq:lsn payload in
     let path = Filename.concat t.dir (snap_name lsn) in
     if Fault.fires Fault.Wal_snapshot_crash then begin
       (* Crash mid-snapshot: a torn file lands at the destination
          without the atomic rename. Recovery must reject it. *)
+      let payload = Buffer.create 4096 in
+      emit (Buffer.add_string payload);
+      let content =
+        Record.encode ~magic:snap_magic ~seq:lsn (Buffer.contents payload)
+      in
       ignore
         (Atomic_file.write_raw path
            (String.sub content 0 (String.length content / 2)));
@@ -370,7 +390,7 @@ let snapshot t payload =
       match if t.dirty then do_fsync t with
       | exception e -> Error (io ~dir:t.dir ~op:"wal-sync" (Printexc.to_string e))
       | () -> (
-        match Atomic_file.write path content with
+        match write_snapshot ~lsn path emit with
         | Error e -> Error e
         | Ok () ->
           t.snap_lsn <- lsn;

@@ -54,9 +54,17 @@ val append : t -> string -> (int, Error.t) result
 (** Append one record, fsync it, and return its LSN: the record is
     durable on [Ok]. *)
 
-val snapshot : t -> string -> (unit, Error.t) result
-(** Atomically persist [payload] as a snapshot covering every record
-    appended so far, then compact. All but the two newest snapshot
+val snapshot : t -> ((string -> unit) -> unit) -> (unit, Error.t) result
+(** [snapshot t emit] atomically persists a snapshot covering every
+    record appended so far, then compacts. Its payload is the pieces
+    [emit] passes to the function it is given, joined in order; they
+    stream through {!Atomic_file.write_with} behind a placeholder
+    header, counted and CRC-ed ({!Crc32.update}) as they go out, and the
+    real header replaces the placeholder before the fsync and rename.
+    The file holds exactly the bytes {!Record.encode} gives for the
+    joined payload, and no string of the whole payload is built. [emit]
+    must not use the log; if it raises, the snapshot fails and the
+    previous one stays. All but the two newest snapshot
     files are deleted; segments are deleted only when wholly covered
     by the {e older} retained snapshot, so a fallback from a newest
     snapshot later found corrupt never meets an LSN hole. The log

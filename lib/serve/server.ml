@@ -358,6 +358,19 @@ let decimal tok =
   let rec digits i = i = n || (tok.[i] >= '0' && tok.[i] <= '9' && digits (i + 1)) in
   if n > first && digits first then int_of_string_opt tok else None
 
+(* A session's solver lives in this process and costs about 310 bytes
+   per declared variable, so one small request naming variable
+   400000000 would allocate gigabytes here. The cap is checked before
+   the WAL append: a logged op over it would fail again on every
+   replay. *)
+let max_session_vars = 1 lsl 16
+
+let over_cap l = l > max_session_vars || l < -max_session_vars
+
+let over_cap_error field tok =
+  Printf.sprintf "%s literal %s is over the cap of %d variables" field tok
+    max_session_vars
+
 let check_clause clause =
   let rec go = function
     | [] -> Error "clause does not end in 0"
@@ -367,17 +380,22 @@ let check_clause clause =
       | Some 0, [] -> Ok ()
       | Some 0, next :: _ ->
         Error (Printf.sprintf "unexpected token %S after the clause's 0" next)
+      | Some l, _ when over_cap l -> Error (over_cap_error "clause" tok)
       | Some _, _ -> go rest)
   in
   go (Store.tokens clause)
 
 let check_assumptions assumptions =
   match
-    List.find_opt
-      (fun tok -> match decimal tok with Some 0 | None -> true | Some _ -> false)
+    List.find_map
+      (fun tok ->
+        match decimal tok with
+        | Some 0 | None -> Some (Printf.sprintf "unexpected token %S" tok)
+        | Some l when over_cap l -> Some (over_cap_error "assumptions" tok)
+        | Some _ -> None)
       (Store.tokens assumptions)
   with
-  | Some tok -> Error (Printf.sprintf "unexpected token %S" tok)
+  | Some msg -> Error msg
   | None -> Ok ()
 
 (* Incremental sessions run in-process through the durable
@@ -403,9 +421,18 @@ let handle_session t ~id reply fields =
           | J.Int v when v >= 0 -> Some v
           | _ -> None)
       with
+      | Ok vars when vars > max_session_vars ->
+        invalid
+          (Printf.sprintf "vars %d is over the cap of %d" vars max_session_vars)
       | Ok vars -> Ok (Store.New vars)
       | Error msg -> invalid msg)
-    | "new_var" -> Ok Store.New_var
+    | "new_var" -> (
+      match Store.info t.store sid with
+      | Some (vars, _) when vars >= max_session_vars ->
+        invalid
+          (Printf.sprintf "the session already has the cap of %d variables"
+             max_session_vars)
+      | _ -> Ok Store.New_var)
     | "add" -> (
       match J.find_string fields "clause" with
       | None -> invalid "missing clause field"

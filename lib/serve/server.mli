@@ -31,6 +31,10 @@
     0 ("0" is the empty clause); "assumptions" are nonzero decimal
     integers. Other session input gets an error reply that names the
     bad token, if there is one, and nothing is logged or applied.
+    Sessions are capped at {!max_session_vars} variables: a "vars", a
+    clause literal or an assumption literal beyond it, and a "new_var"
+    on a session already at it, get an error reply that names the
+    field, before any WAL append or allocation.
 
     An absent "vars", "deadline_s" or "mem_mb" keeps its default (0
     variables, the server's [deadline] and [mem_mb]). A present "vars"
@@ -70,6 +74,13 @@ type config = {
   store : Session_store.config;
   verbose : bool;  (** Log to stderr. *)
 }
+
+val max_session_vars : int
+(** 2{^16} = 65536: the most variables a session may declare or a
+    session literal may name. A session's solver runs in the server
+    process at about 310 bytes per declared variable, so the cap holds
+    one session near 21.6 MB (2{^20} would be 323 MB). WAL replay does
+    not apply it, so a log written before the cap still recovers. *)
 
 type t
 

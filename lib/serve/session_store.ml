@@ -274,11 +274,16 @@ let execute t ~sid op : (Journal.record, string) result =
 
 (* --- snapshots ---------------------------------------------------------- *)
 
-let snapshot_payload t =
-  let buf = Buffer.create 1024 in
+(* The snapshot payload, one line per piece: a line per session, then a
+   line per dedup entry, oldest first, joined by newlines. The lines go
+   to [emit] one at a time, so the payload (about half a megabyte at
+   e2e's steady state) is never built whole. *)
+let emit_snapshot t emit =
+  let first = ref true in
   let line record =
-    if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-    Buffer.add_string buf (Journal.encode record)
+    if not !first then emit "\n";
+    first := false;
+    emit (Journal.encode record)
   in
   Hashtbl.iter
     (fun sid s ->
@@ -310,14 +315,13 @@ let snapshot_payload t =
             ("key", Journal.String key);
             ("resp", Journal.String (Journal.encode record));
           ])
-    t.dedup_order;
-  Buffer.contents buf
+    t.dedup_order
 
 let snapshot_now t =
   match t.wal with
   | None -> Ok ()
   | Some wal -> (
-    match Wal.snapshot wal (snapshot_payload t) with
+    match Wal.snapshot wal (emit_snapshot t) with
     | Ok () ->
       t.appends_since_snapshot <- 0;
       Ok ()

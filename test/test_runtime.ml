@@ -904,7 +904,7 @@ let test_wal_snapshot_compaction () =
         ignore (wal_append_ok wal (Printf.sprintf "pre-%d%s" i pad))
       done;
       let before = Runtime.Wal.segment_count wal in
-      (match Runtime.Wal.snapshot wal "the-state" with
+      (match Runtime.Wal.snapshot wal (fun emit -> emit "the-state") with
       | Ok () -> ()
       | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
       checkb "snapshot compacted covered segments" true
@@ -931,13 +931,13 @@ let two_snapshot_log dir =
   for i = 1 to 4 do
     ignore (wal_append_ok wal (Printf.sprintf "a%d%s" i pad))
   done;
-  (match Runtime.Wal.snapshot wal "snap-old" with
+  (match Runtime.Wal.snapshot wal (fun emit -> emit "snap-old") with
   | Ok () -> ()
   | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
   for i = 5 to 8 do
     ignore (wal_append_ok wal (Printf.sprintf "b%d%s" i pad))
   done;
-  (match Runtime.Wal.snapshot wal "snap-new" with
+  (match Runtime.Wal.snapshot wal (fun emit -> emit "snap-new") with
   | Ok () -> ()
   | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
   Runtime.Wal.close wal;
@@ -1130,6 +1130,79 @@ let test_frame_strict_decimal () =
       checkb (Printf.sprintf "%S rejected" prefix) false (accepts prefix))
     [ "0x10"; "1_000"; "+5"; "-5"; " 5"; "5 "; "0b101"; "0o17"; ""; "1e2" ]
 
+(* Every read lands in the one chunk the process's readers share: a
+   thousand small frames read one at a time over a socketpair must not
+   cost a 64 KiB chunk each (8192 major words a read, 8.2 M in all).
+   The minor heap is emptied first, so only what the reads allocate or
+   promote is counted. *)
+let test_frame_read_allocation () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let r = Runtime.Frame.create_reader () in
+      let frames = ref 0 in
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      for i = 1 to 1000 do
+        Runtime.Frame.write a (Printf.sprintf {|{"op":"ping","id":"%d"}|} i);
+        (match Runtime.Frame.read_into r b with
+        | `Data -> ()
+        | `Eof | `Blocked -> Alcotest.fail "frame not read");
+        let rec drain () =
+          match Runtime.Frame.next r with
+          | Some _ ->
+            incr frames;
+            drain ()
+          | None -> ()
+        in
+        drain ()
+      done;
+      let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+      checki "every frame read" 1000 !frames;
+      checkb
+        (Printf.sprintf "1000 reads grew the major heap by %.0f words (< 81920)"
+           grown)
+        true (grown < 81920.0))
+
+(* The streamed snapshot's CRC rests on this: a checksum extended piece
+   by piece is the checksum of the pieces joined. *)
+let prop_crc32_update_streams =
+  QCheck.Test.make ~name:"crc32 update streams" ~count:300
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Runtime.Crc32.update (Runtime.Crc32.update 0 a) b
+      = Runtime.Crc32.string (a ^ b))
+
+(* A snapshot's payload cut into pieces at arbitrary points (empty
+   pieces included) lands as exactly the frame Record.encode gives the
+   joined payload. *)
+let prop_wal_snapshot_pieces =
+  QCheck.Test.make ~name:"wal snapshot streamed in pieces" ~count:40
+    QCheck.(pair (string_of_size Gen.(int_bound 3000)) (small_list small_nat))
+    (fun (payload, cuts) ->
+      let n = String.length payload in
+      let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let pieces, last =
+        List.fold_left
+          (fun (acc, from) cut ->
+            (String.sub payload from (cut - from) :: acc, cut))
+          ([], 0) cuts
+      in
+      let pieces = List.rev (String.sub payload last (n - last) :: pieces) in
+      with_temp_dir (fun dir ->
+          let wal, _ = wal_open_ok dir in
+          let lsn = wal_append_ok wal "record" in
+          (match Runtime.Wal.snapshot wal (fun emit -> List.iter emit pieces) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
+          Runtime.Wal.close wal;
+          let file = Filename.concat dir (Printf.sprintf "snap-%012d.snap" lsn) in
+          In_channel.with_open_bin file In_channel.input_all
+          = Runtime.Record.encode ~magic:"NSSNAP1" ~seq:lsn payload))
+
 let suite =
   suite
   @ [
@@ -1145,6 +1218,9 @@ let suite =
         test_frame_malformed_poisons;
       Alcotest.test_case "frame strict decimal prefix" `Quick
         test_frame_strict_decimal;
+      Alcotest.test_case "frame reads share one chunk" `Quick
+        test_frame_read_allocation;
+      QCheck_alcotest.to_alcotest prop_crc32_update_streams;
       Alcotest.test_case "pool per-submit limits" `Quick
         test_pool_per_submit_limits;
       Alcotest.test_case "wal append/replay" `Quick test_wal_append_replay;
@@ -1159,6 +1235,7 @@ let suite =
         test_wal_gap_fails_loudly;
       QCheck_alcotest.to_alcotest prop_wal_roundtrip;
       Alcotest.test_case "wal compat fixture" `Quick test_wal_compat_fixture;
+      QCheck_alcotest.to_alcotest prop_wal_snapshot_pieces;
       QCheck_alcotest.to_alcotest prop_record_roundtrip;
       QCheck_alcotest.to_alcotest prop_record_prefix_truncated;
       QCheck_alcotest.to_alcotest prop_record_bit_flips;

@@ -141,6 +141,99 @@ let test_snapshot_recovery () =
         (Runtime.Journal.find_string fields "verdict" = Some "sat");
       Store.close t2)
 
+(* e2e's sessions workload at its steady state: 8 sessions of 120
+   variables, each grown by random 3-SAT clauses to 480 and then closed
+   and replaced, every op keyed. Of the logged ops, 90% are adds and 10%
+   solves under two assumptions (e2e's info ops are never logged), and
+   4600 of them leave the dedup cache at its 4096 keys. *)
+let sessions_steady_state t =
+  let rng = Util.Rng.create 1 in
+  let sids = Array.init 8 (fun k -> Printf.sprintf "s%d" k) in
+  let counts = Array.make 8 0 in
+  let ops = ref 0 in
+  let keyed sid op =
+    incr ops;
+    ignore (apply_ok t ~key:(Printf.sprintf "k%d" !ops) ~sid op)
+  in
+  let lit v = string_of_int (if Util.Rng.bool rng then v else -v) in
+  Array.iter (fun sid -> keyed sid (Store.New 120)) sids;
+  while !ops < 4600 do
+    let k = Util.Rng.int rng 8 in
+    if counts.(k) >= 480 then begin
+      keyed sids.(k) Store.Close;
+      sids.(k) <- Printf.sprintf "s%d" (8 + !ops);
+      counts.(k) <- 0;
+      keyed sids.(k) (Store.New 120)
+    end
+    else if Util.Rng.float rng 1.0 < 0.9 then begin
+      let vs = Util.Rng.sample_distinct rng 3 120 in
+      keyed sids.(k)
+        (Store.Add
+           (String.concat " " (Array.to_list (Array.map (fun v -> lit (v + 1)) vs))
+           ^ " 0"));
+      counts.(k) <- counts.(k) + 1
+    end
+    else
+      keyed sids.(k)
+        (Store.Solve
+           (lit (1 + Util.Rng.int rng 60) ^ " " ^ lit (61 + Util.Rng.int rng 60)))
+  done
+
+(* A snapshot streams its lines to the file instead of building its
+   payload (about 470 KB here) as one string and copying it: at the
+   sessions steady state it must allocate fewer major-heap words than
+   the payload has words. Building it whole cost about 5.5 times that. *)
+let test_snapshot_streams_without_garbage () =
+  with_temp_dir (fun dir ->
+      let t, _ =
+        create_ok
+          {
+            Store.default_config with
+            Store.wal_dir = Some dir;
+            snapshot_every = 0;
+          }
+      in
+      sessions_steady_state t;
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      (match Store.snapshot_now t with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot: %s" (Runtime.Error.to_string e));
+      let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+      Store.close t;
+      let snap =
+        match
+          List.filter
+            (fun n -> Filename.check_suffix n ".snap")
+            (Array.to_list (Sys.readdir dir))
+        with
+        | [ name ] ->
+          In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+        | names -> Alcotest.failf "%d snapshot files" (List.length names)
+      in
+      let payload =
+        match Runtime.Record.decode ~magic:"NSSNAP1" snap with
+        | Ok (_, payload, _) -> payload
+        | Error e ->
+          Alcotest.failf "snapshot: %s" (Runtime.Record.error_to_string e)
+      in
+      let lines kind =
+        let prefix = Printf.sprintf {|{"k":"%s"|} kind in
+        List.length
+          (List.filter
+             (String.starts_with ~prefix)
+             (String.split_on_char '\n' payload))
+      in
+      checki "session lines" 8 (lines "sess");
+      checki "dedup lines" 4096 (lines "dedup");
+      let words = String.length payload / (Sys.word_size / 8) in
+      checkb
+        (Printf.sprintf
+           "a %d-byte snapshot grew the major heap by %.0f words (< %d)"
+           (String.length payload) grown words)
+        true
+        (grown < float_of_int words))
+
 (* A clause with an embedded newline (legal through the wire's JSON
    \n escape) must survive the snapshot round-trip: whitespace is
    normalised on entry and the snapshot stores one field per clause,
@@ -583,6 +676,70 @@ let test_server_rejects_malformed_session_input () =
   checks "0 alone is the empty clause" "ok" (status (request srv (add "0")));
   checks "the empty clause makes the session unsat" "unsat"
     (J.find_string (request srv (session "solve" [])) "verdict")
+
+(* Sessions run in the server process, so their size is capped before
+   anything is logged or allocated. Both probes used to kill the server
+   (a 400M-variable session, and one clause naming variable 400M), and
+   since the op was logged first, a restart over the WAL died again
+   replaying it. The server runs in a supervised worker capped at
+   1.5 GB: should a cap regress, that worker runs out of memory, not
+   the host. *)
+let test_server_session_caps () =
+  let limits =
+    { Runtime.Supervisor.default_limits with mem_limit_mb = Some 1536 }
+  in
+  with_temp_dir (fun dir ->
+      match
+        Runtime.Supervisor.run limits (fun () ->
+              let problems = ref [] in
+              let expect what ok = if not ok then problems := what :: !problems in
+              let store = { Store.default_config with Store.wal_dir = Some dir } in
+              let srv = create_server { server_config with Server.store } in
+              let answered what fields =
+                expect what (status (request srv fields) = Some "ok")
+              in
+              let refused what fields error =
+                expect what
+                  (J.find_string (request srv fields) "error"
+                  = Some (Printf.sprintf error Server.max_session_vars))
+              in
+              let add clause = session "add" [ ("clause", J.String clause) ] in
+              Gc.minor ();
+              let before = (Gc.quick_stat ()).Gc.major_words in
+              refused "vars over the cap"
+                (session ~sid:"big" "new" [ ("vars", J.Int 400_000_000) ])
+                "session: new: vars 400000000 is over the cap of %d";
+              answered "a 3-variable session opens"
+                (session "new" [ ("vars", J.Int 3) ]);
+              refused "a clause literal over the cap" (add "400000000 0")
+                "session: add: clause literal 400000000 is over the cap of %d \
+                 variables";
+              answered "a ping is answered" [ op "ping" ];
+              let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+              expect
+                (Printf.sprintf "the major heap grew by %.0f words (< 1 M)" grown)
+                (grown < 1e6);
+              refused "an assumption over the cap"
+                (session "solve" [ ("assumptions", J.String "-400000000") ])
+                "session: solve: assumptions literal -400000000 is over the cap of %d \
+                 variables";
+              answered "a literal at the cap"
+                (add (Printf.sprintf "-%d 0" Server.max_session_vars));
+              refused "new_var past the cap" (session "new_var" [])
+                "session: new_var: the session already has the cap of %d variables";
+              Server.drain srv;
+              (match Runtime.Wal.open_dir dir with
+              | Error e -> expect (Runtime.Error.to_string e) false
+              | Ok (wal, r) ->
+                Runtime.Wal.close wal;
+                expect "only the two accepted ops are logged"
+                  (List.length r.Runtime.Wal.records = 2));
+              match List.rev !problems with
+              | [] -> Ok ""
+              | problems -> Error (String.concat "; " problems))
+      with
+      | Runtime.Supervisor.Completed (Ok _) -> ()
+      | verdict -> Alcotest.fail (Runtime.Supervisor.verdict_to_string verdict))
 
 let test_server_pool_solve () =
   let srv = create_server server_config in
@@ -1032,16 +1189,16 @@ let test_server_survives_peer_that_stops_reading () =
   checkb "server drained and exited 0" true (exit_status = Unix.WEXITED 0)
 
 (* A reply much larger than the socket buffer must reach a reading
-   peer whole: a non-blocking socket tears it at the first EAGAIN. *)
+   peer whole: a non-blocking socket tears it at the first EAGAIN. The
+   model of a one-shot solve of 700 000 variables is over 4 MB; a
+   session cannot declare that many (Server.max_session_vars). *)
 let test_server_large_reply_whole () =
   let vars = 700_000 in
   let (), exit_status =
     with_served_socket (fun path _ ->
         let c = connect path in
-        checkb "new session" true
-          (Option.bind (rpc_fields c (session "new" [ ("vars", J.Int vars) ])) status
-          = Some "ok");
-        match rpc c (session "solve" []) with
+        let dimacs = Printf.sprintf "p cnf %d 0\n" vars in
+        match rpc c [ op "solve"; ("dimacs", J.String dimacs) ] with
         | None -> Alcotest.fail "large reply torn or missing"
         | Some payload -> (
           checkb
@@ -1397,6 +1554,8 @@ let suite =
       test_recovery_and_dedup;
     Alcotest.test_case "snapshot + replay recovery" `Quick
       test_snapshot_recovery;
+    Alcotest.test_case "snapshot streams without garbage" `Quick
+      test_snapshot_streams_without_garbage;
     Alcotest.test_case "newline clause survives snapshot" `Quick
       test_snapshot_newline_clause;
     Alcotest.test_case "max-sessions cap" `Quick test_max_sessions_cap;
@@ -1412,6 +1571,7 @@ let suite =
       test_server_key_bound_to_request;
     Alcotest.test_case "server rejects malformed session input" `Quick
       test_server_rejects_malformed_session_input;
+    Alcotest.test_case "server session caps" `Quick test_server_session_caps;
     Alcotest.test_case "server pool solve" `Quick test_server_pool_solve;
     Alcotest.test_case "server drain rejects" `Quick test_server_drain_rejects;
     Alcotest.test_case "server burst sheds and drains" `Quick
